@@ -23,7 +23,7 @@ from .sweep import (CaseResult, SweepConfig, SweepReport, UsageError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "BothConstant", "CHECK_NAMES", "CaseResult", "CatalogEntry",
+    "BothConstant", "CHECK_NAMES", "CaseResult", "CatalogEntry",
     "CheckOutcome", "ComputationTimeout", "CoreCatalog", "DegreeTooLow",
     "DuplicateName", "ExponentOverflow", "ExprSyntaxError", "ForwardReference",
     "GcdResult", "InexactDivision", "InsufficientSamples", "InvalidParameters",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .parser import Manifest, load_manifest
+from .parser import Manifest, load_manifest, parse
 from .poly import MultiPoly, RatFun
 from .ratio import Rat
 
@@ -87,7 +87,7 @@ kfelimden := alpha*beta
 
 
 class InvalidParameters(ValueError):
-    """Specialization outside m >= 4, 2 <= r <= m-1, c in {-1, 0, 1}."""
+    """Specialization outside m >= 4, 2 <= r <= m-1, c in {-1, 0, 1, None}."""
 
 
 class DegreeTooLow(ValueError):
@@ -97,10 +97,6 @@ class DegreeTooLow(ValueError):
 @lru_cache(maxsize=1)
 def manifest() -> Manifest:
     return load_manifest(MANIFEST_TEXT)
-
-
-def entry(name: str) -> MultiPoly:
-    return manifest()[name]
 
 
 @dataclass
@@ -134,23 +130,27 @@ RES_SPECIAL_FACTORS = (
 )
 
 
-def _eval_factor(text: str, mm: int, rr: int) -> int:
-    from .parser import parse
-    return int(parse(text).evaluate({"m": mm, "r": rr}))
+@lru_cache(maxsize=None)
+def _parsed_factors(factors: tuple) -> tuple:
+    """(polynomial, exponent) pairs of a factor table, parsed once."""
+    return tuple((parse(text), e) for text, e in factors)
+
+
+def _eval_factors(value: int, factors: tuple, point: dict) -> int:
+    for p, e in _parsed_factors(factors):
+        value *= int(p.evaluate(point)) ** e
+    return value
 
 
 def dominant_coef_value(mm: int, rr: int, cc: int) -> int:
-    value = DOMINANT_COEF_CONSTANT * cc ** 12
-    for text, e in DOMINANT_COEF_M_FACTORS + DOMINANT_COEF_R_FACTORS:
-        value *= _eval_factor(text, mm, rr) ** e
-    return value
+    return _eval_factors(DOMINANT_COEF_CONSTANT * cc ** 12,
+                         DOMINANT_COEF_M_FACTORS + DOMINANT_COEF_R_FACTORS,
+                         {"m": mm, "r": rr})
 
 
 def res_special_value(rr: int, cc: int) -> int:
-    value = RES_SPECIAL_CONSTANT * cc ** 12
-    for text, e in RES_SPECIAL_FACTORS:
-        value *= _eval_factor(text, 0, rr) ** e
-    return value
+    return _eval_factors(RES_SPECIAL_CONSTANT * cc ** 12, RES_SPECIAL_FACTORS,
+                         {"r": rr})
 
 
 class CoreCatalog:
@@ -159,10 +159,11 @@ class CoreCatalog:
     Generic mode keeps m, r, c symbolic and works with the single
     (m-r)-cleared polynomial Hgen = (m-r)*H (the clearing factor is
     recorded); specialized mode divides it back out so H and K carry
-    the exact rational coefficients.
+    the exact rational coefficients.  A specialization (m, r, None)
+    keeps c symbolic.
     """
 
-    def __init__(self, params: tuple[int, int, int] | None = None):
+    def __init__(self, params: tuple[int, int, int | None] | None = None):
         man = manifest()
         self.params = params
         self.generic = params is None
@@ -179,12 +180,13 @@ class CoreCatalog:
         else:
             m0, r0, c0 = params
             if not (isinstance(m0, int) and isinstance(r0, int)
-                    and m0 >= 4 and 2 <= r0 <= m0 - 1 and c0 in (-1, 0, 1)):
+                    and m0 >= 4 and 2 <= r0 <= m0 - 1
+                    and c0 in (-1, 0, 1, None)):
                 raise InvalidParameters(f"bad specialization {params}")
 
             def spec(p: MultiPoly) -> MultiPoly:
-                return (p.substitute("m", m0).substitute("r", r0)
-                        .substitute("c", c0))
+                p = p.substitute("m", m0).substitute("r", r0)
+                return p if c0 is None else p.substitute("c", c0)
 
             self.P = spec(man["P"])
             self.Q = spec(man["Q"])
@@ -225,8 +227,9 @@ class CoreCatalog:
         return out
 
 
-def build_core(params: tuple[int, int, int] | None = None) -> CoreCatalog:
-    """Generic catalog (params None) or exact specialization (m, r, c)."""
+def build_core(params: tuple[int, int, int | None] | None = None) -> CoreCatalog:
+    """Generic catalog (params None) or exact specialization (m, r, c);
+    c None leaves c symbolic."""
     return CoreCatalog(params)
 
 

@@ -11,13 +11,13 @@ import time
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .catalog import (DOMINANT_COEF_CONSTANT, DOMINANT_COEF_M_FACTORS,
+from .catalog import (DOMINANT_COEF_M_FACTORS, DOMINANT_COEF_R_FACTORS,
                       build_core, dominant_coef_value, fp_square_to_s,
                       manifest, res_special_value)
 from .parser import format_poly, parse
 from .poly import MultiPoly, RatFun, pseudo_division
 from .ratio import Rat, rat_str
-from .resultant import gcd_subresultant, resultant, resultant_interp
+from .resultant import _horner, gcd_subresultant, resultant, resultant_interp
 
 
 class UnknownCheck(KeyError):
@@ -84,22 +84,6 @@ def check_res_pq() -> CheckOutcome:
     return run.outcome()
 
 
-def _core_74(c_value: int | None = None):
-    """H and K specialized at m=7, r=4 with c symbolic (or a value)."""
-    man = manifest()
-
-    def spec(p: MultiPoly) -> MultiPoly:
-        p = p.substitute("m", 7).substitute("r", 4)
-        if c_value is not None:
-            p = p.substitute("c", c_value)
-        return p
-
-    h = spec(man["Hgen"]) * Rat(1, 3)
-    k = (h.derivative("f") * spec(man["NumDerF"])
-         + h.derivative("k") * spec(man["DenDerF"]))
-    return h, k
-
-
 def check_special_case(c_mode: str = "symbolic") -> CheckOutcome:
     """m=7, r=4: both sweep polynomials against their factored displays,
     the conic delta as the primitive common factor, and coprimality of
@@ -107,7 +91,8 @@ def check_special_case(c_mode: str = "symbolic") -> CheckOutcome:
     run = _Run("special-case")
     man = manifest()
     c_value = None if c_mode == "symbolic" else int(c_mode)
-    h, k = _core_74(c_value)
+    core = build_core((7, 4, c_value))
+    h, k = core.H, core.K
 
     def spec(p):
         return p if c_value is None else p.substitute("c", c_value)
@@ -313,29 +298,39 @@ def scan_dominant_factors(m_max: int = 10000) -> CheckOutcome:
     on 4 <= m <= m_max, 2 <= r <= m-1 exactly on {m=7} u {m=10} u
     {m=2r-1}; the m=2r-1 form vanishes exactly at r in {2, 4}."""
     run = _Run("scan-factors")
-    import numpy as np
     if m_max < 30:
         run.expect("m_max >= 30", False)
         return run.outcome()
-    m_part_polys = [(parse(text), e) for text, e in DOMINANT_COEF_M_FACTORS]
+    # a product vanishes iff a factor does: the m-factors as ascending
+    # integer coefficient lists in m, each r-factor as a(m) + b*r
+    m_factors = [_int_coeffs(parse(text), "m")
+                 for text, _ in DOMINANT_COEF_M_FACTORS]
+    r_factors = []
+    for text, _ in DOMINANT_COEF_R_FACTORS:
+        parts = parse(text).coefficients_in("r")
+        if len(parts) != 2 or not parts[1].is_constant():
+            raise ValueError(f"r-factor {text} is not a(m) + b*r")
+        r_factors.append((_int_coeffs(parts[0], "m"),
+                          int(parts[1].constant_value())))
     bad = None
     zero_pairs = 0
     for mm in range(4, m_max + 1):
-        m_part = DOMINANT_COEF_CONSTANT
-        for p, e in m_part_polys:
-            m_part *= int(p.evaluate({"m": mm, "r": 0})) ** e
-        rs = np.arange(2, mm, dtype=np.int64)
-        f1 = mm + 1 - 2 * rs
-        f2 = mm - rs
-        f3 = rs - 1
-        zero = (f1 == 0) | (f2 == 0) | (f3 == 0)
-        if m_part == 0:
-            zero[:] = True
-        expected = (f1 == 0) if mm not in (7, 10) else np.ones_like(zero)
-        if not np.array_equal(zero, expected):
+        if any(not _horner(co, mm) for co in m_factors):
+            zero = set(range(2, mm))
+        else:
+            zero = set()
+            for a, b in r_factors:
+                root, rem = divmod(-_horner(a, mm), b)
+                if not rem and 2 <= root < mm:
+                    zero.add(root)
+        if mm in (7, 10):
+            expected = set(range(2, mm))
+        else:
+            expected = {(mm + 1) // 2} if mm % 2 else set()
+        if zero != expected:
             bad = mm
             break
-        zero_pairs += int(zero.sum())
+        zero_pairs += len(zero)
     run.expect("vanishing set is {m=7} u {m=10} u {m=2r-1}", bad is None,
                f"first mismatch at m={bad}" if bad is not None else None)
     run.note("pairs scanned", sum(max(0, mm - 2) for mm in range(4, m_max + 1)))
@@ -350,6 +345,11 @@ def scan_dominant_factors(m_max: int = 10000) -> CheckOutcome:
                f"mismatch at r in {bad_r[:5]}" if bad_r else None)
     run.note("c dependence", "c^12, nonzero for c in {-1, 1}")
     return run.outcome()
+
+
+def _int_coeffs(p: MultiPoly, var: str) -> list[int]:
+    """Ascending integer coefficients of a polynomial in var alone."""
+    return [int(ce.constant_value()) for ce in p.coefficients_in(var)] or [0]
 
 
 def _poly_sqrt_int(coeffs: list[int]) -> list[int] | None:
@@ -417,11 +417,7 @@ def check_appendix_c_leading(samples=None) -> CheckOutcome:
         if not run.expect(f"{tag} raw degree {want_deg}",
                           res.degree("z") == want_deg, res):
             continue
-        _, prim = res.primitive()
-        dense = [0] * (prim.degree("z") + 1)
-        for exps, coeff in prim.terms():
-            dense[sum(exps)] = int(coeff.numerator)
-        root = _poly_sqrt_int(dense)
+        root = _poly_sqrt_int(_int_coeffs(res.primitive()[1], "z"))
         if not run.expect(f"{tag} primitive part is a perfect square",
                           root is not None):
             continue

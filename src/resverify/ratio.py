@@ -1,4 +1,4 @@
-"""Arbitrary-precision rational and integer types.
+"""Arbitrary-precision rational type and integer gcd.
 
 gmpy2 is used when available (several times faster on the coefficient
 sizes the elimination sweeps produce); otherwise the stdlib Fraction/int
@@ -22,26 +22,13 @@ else:
 
 if _HAVE_GMPY2:
     Rat = gmpy2.mpq
-    Int = gmpy2.mpz
     RAT_BACKEND = "gmpy2"
 else:
     Rat = Fraction
-    Int = int
     RAT_BACKEND = "fractions"
 
 RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
-
-
-def rat(value, den=None):
-    """Coerce to the active rational type; rat(3, 4) == 3/4."""
-    if den is None:
-        return Rat(value)
-    return Rat(value, den)
-
-
-def is_integer_rat(q) -> bool:
-    return q.denominator == 1
 
 
 def rat_str(q) -> str:

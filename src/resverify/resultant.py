@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .poly import MultiPoly, _content_in, _prs_gcd
-from .ratio import RAT_ONE, Rat
+from .ratio import Rat
 
 
 class ZeroInput(ValueError):
@@ -55,27 +55,28 @@ class GcdResult:
     cofactor_degrees: tuple[int, int]
 
 
+def _sylvester_rows(a_coeffs: list, b_coeffs: list, zero) -> list[list]:
+    """Shifted coefficient rows from ascending coefficient lists: deg(b)
+    rows of a on top, then deg(a) rows of b, padded with zero."""
+    da, db = len(a_coeffs) - 1, len(b_coeffs) - 1
+    dim = da + db
+    rows = []
+    for coeffs, count in ((a_coeffs, db), (b_coeffs, da)):
+        top = coeffs[::-1]
+        for i in range(count):
+            row = [zero] * dim
+            row[i:i + len(top)] = top
+            rows.append(row)
+    return rows
+
+
 def sylvester(a: MultiPoly, b: MultiPoly, var: str) -> SylvesterMatrix:
     if a.is_zero() or b.is_zero():
         raise ZeroInput("Sylvester matrix of a zero polynomial")
-    da, db = a.degree(var), b.degree(var)
-    if da == 0 and db == 0:
+    if a.degree(var) == 0 and b.degree(var) == 0:
         raise BothConstant(f"neither input involves {var!r}")
-    ac = a.coefficients_in(var)
-    bc = b.coefficients_in(var)
-    dim = da + db
-    zero = MultiPoly.zero()
-    rows = []
-    for i in range(db):
-        row = [zero] * dim
-        for j, coeff in enumerate(reversed(ac)):
-            row[i + j] = coeff
-        rows.append(row)
-    for i in range(da):
-        row = [zero] * dim
-        for j, coeff in enumerate(reversed(bc)):
-            row[i + j] = coeff
-        rows.append(row)
+    rows = _sylvester_rows(a.coefficients_in(var), b.coefficients_in(var),
+                           MultiPoly.zero())
     return SylvesterMatrix(rows, a, b, var)
 
 
@@ -198,7 +199,6 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     ys: list = []
     t = 0
     limit = needed + len(lead_a) + len(lead_b) + 16
-    dim = da + db
     while len(xs) < needed:
         t += 1
         if t > limit:
@@ -208,19 +208,8 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
             raise ComputationTimeout("per-case deadline expired")
         if not _horner(lead_a, t) or not _horner(lead_b, t):
             continue
-        avals = [_horner(col, t) for col in acols]
-        bvals = [_horner(col, t) for col in bcols]
-        rows = []
-        for i in range(db):
-            row = [0] * dim
-            for j in range(da + 1):
-                row[i + j] = avals[da - j]
-            rows.append(row)
-        for i in range(da):
-            row = [0] * dim
-            for j in range(db + 1):
-                row[i + j] = bvals[db - j]
-            rows.append(row)
+        rows = _sylvester_rows([_horner(col, t) for col in acols],
+                               [_horner(col, t) for col in bcols], 0)
         xs.append(t)
         ys.append(kernels.bareiss_det_int(rows))
 

@@ -73,6 +73,14 @@ class TestBuildCore:
             assert spec.H * (mm - rr) == at(gen.H)
             assert spec.K * (mm - rr) == at(gen.K)
 
+    def test_symbolic_c_specialization(self):
+        sym = build_core((7, 4, None))
+        assert "c" in sym.H.vars_used() and "c" in sym.K.vars_used()
+        for cc in (-1, 0, 1):
+            spec = build_core((7, 4, cc))
+            assert sym.H.substitute("c", cc) == spec.H
+            assert sym.K.substitute("c", cc) == spec.K
+
     def test_generic_r_is_ratfun(self):
         gen = build_core()
         assert isinstance(gen.R, RatFun)

@@ -1,69 +1,97 @@
-"""Kernel backend selection and backend equivalence."""
+"""The arithmetic kernels against the independent oracles in conftest."""
 
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
-from conftest import rand_poly
+from conftest import (cofactor_det, rand_nonzero, rand_poly, ref_add,
+                      ref_from_multipoly, ref_mul)
 
-from resverify import _kernels_py
-from resverify.kernels import BACKEND
+import resverify
+from resverify import kernels
+from resverify.kernels import ExponentOverflow
 from resverify.poly import GUARD_MASK, MAX_EXPONENT, MultiPoly
-
-try:
-    from resverify import _speedups
-except ImportError:
-    _speedups = None
 
 
 def test_backend_reported():
-    assert BACKEND in ("cython", "python")
+    assert kernels.BACKEND == "python"
 
 
-def test_env_forces_pure_backend():
-    env = dict(os.environ, RESVERIFY_PURE_KERNELS="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from resverify.kernels import BACKEND; print(BACKEND)"],
-        env=env, capture_output=True, text=True, check=True)
+def test_star_import_exports_every_public_name():
+    src = str(Path(resverify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("from resverify import *\n"
+            "import resverify\n"
+            "missing = [n for n in resverify.__all__ if n not in globals()]\n"
+            "assert not missing, missing\n"
+            "print(KERNEL_BACKEND)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "python"
 
 
-@pytest.mark.skipif(_speedups is None, reason="extension not built")
-class TestBackendEquivalence:
-    def test_mul_dicts(self, rng):
-        for _ in range(100):
-            a = rand_poly(rng, names=("f", "k", "c"), max_terms=6)
-            b = rand_poly(rng, names=("f", "k", "c"), max_terms=6)
-            if a.is_zero() or b.is_zero():
-                continue
-            assert _speedups.mul_dicts(a._d, b._d, GUARD_MASK) \
-                == _kernels_py.mul_dicts(a._d, b._d, GUARD_MASK)
+def _ref(d: dict) -> dict:
+    return ref_from_multipoly(MultiPoly._raw(d))
 
-    def test_addmul_term(self, rng):
-        for _ in range(100):
-            a = rand_poly(rng, allow_zero=False)
-            b = rand_poly(rng, allow_zero=False)
-            if not a or not b:
-                continue
-            key = next(iter(b._d))
-            coeff = b._d[key]
-            acc1, acc2 = dict(a._d), dict(a._d)
-            _speedups.addmul_term(acc1, coeff, key, b._d, GUARD_MASK)
-            _kernels_py.addmul_term(acc2, coeff, key, b._d, GUARD_MASK)
-            assert acc1 == acc2
 
-    def test_bareiss_det_int(self, rng):
-        for _ in range(50):
-            n = rng.randint(1, 6)
-            rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
-            assert _speedups.bareiss_det_int(rows) \
-                == _kernels_py.bareiss_det_int(rows)
+def test_mul_dicts_matches_reference(rng):
+    for _ in range(100):
+        a = rand_poly(rng, names=("f", "k", "c"), max_terms=6)
+        b = rand_poly(rng, names=("f", "k", "c"), max_terms=6)
+        got = kernels.mul_dicts(a._d, b._d, GUARD_MASK)
+        assert _ref(got) == ref_mul(_ref(a._d), _ref(b._d))
 
-    def test_overflow_raised_by_both(self):
-        big = MultiPoly.var("f", MAX_EXPONENT)
-        from resverify.kernels import ExponentOverflow
-        with pytest.raises(ExponentOverflow):
-            _speedups.mul_dicts(big._d, big._d, GUARD_MASK)
-        with pytest.raises(ExponentOverflow):
-            _kernels_py.mul_dicts(big._d, big._d, GUARD_MASK)
+
+def test_mul_dicts_drops_cancelled_terms():
+    f, k = MultiPoly.var("f"), MultiPoly.var("k")
+    got = kernels.mul_dicts((f + k)._d, (f - k)._d, GUARD_MASK)
+    assert MultiPoly._raw(got) == f * f - k * k and len(got) == 2
+
+
+def test_addmul_term_matches_reference(rng):
+    for _ in range(100):
+        acc = rand_poly(rng)
+        b = rand_nonzero(rng)
+        mono = rand_nonzero(rng, max_terms=1)
+        (key, coeff), = mono._d.items()
+        want = ref_add(_ref(acc._d), ref_mul(_ref(mono._d), _ref(b._d)))
+        got = dict(acc._d)
+        kernels.addmul_term(got, coeff, key, b._d, GUARD_MASK)
+        assert _ref(got) == want
+        assert all(got.values())
+
+
+def test_bareiss_det_int_matches_cofactor_expansion(rng):
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        # the small range makes singular matrices and zero pivots common
+        lo, hi = (-2, 2) if rng.random() < 0.5 else (-99, 99)
+        rows = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+        want = cofactor_det([[MultiPoly.const(x) for x in row] for row in rows])
+        assert kernels.bareiss_det_int(rows) == want.constant_value()
+
+
+def test_bareiss_det_int_pivot_swap_and_singular():
+    assert kernels.bareiss_det_int([[0, 1], [1, 0]]) == -1
+    assert kernels.bareiss_det_int([[0, 2, 3], [0, 4, 5], [1, 6, 7]]) == -2
+    assert kernels.bareiss_det_int([[1, 2], [2, 4]]) == 0
+    assert kernels.bareiss_det_int([[0, 1], [0, 2]]) == 0
+
+
+def test_bareiss_det_int_leaves_input_unchanged():
+    rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    copy = [list(row) for row in rows]
+    assert kernels.bareiss_det_int(rows) == 18
+    assert rows == copy
+
+
+def test_exponent_overflow_raised():
+    big = MultiPoly.var("f", MAX_EXPONENT)
+    with pytest.raises(ExponentOverflow):
+        kernels.mul_dicts(big._d, big._d, GUARD_MASK)
+    (key, coeff), = big._d.items()
+    with pytest.raises(ExponentOverflow):
+        kernels.addmul_term({}, coeff, key, big._d, GUARD_MASK)
