@@ -2,8 +2,8 @@
 resultant elimination, and a verification harness for the curvature
 classification's polynomial identities."""
 
-from .catalog import (CatalogEntry, CoreCatalog, DegreeTooLow,
-                      InvalidParameters, build_core, manifest, reduce_to_z)
+from .catalog import (CoreCatalog, DegreeTooLow, InvalidParameters,
+                      build_core, manifest, reduce_to_z)
 from .checks import CHECK_NAMES, CheckOutcome, UnknownCheck, run_check
 from .kernels import BACKEND as KERNEL_BACKEND
 from .parser import (DuplicateName, ExprSyntaxError, ForwardReference,
@@ -11,7 +11,7 @@ from .parser import (DuplicateName, ExprSyntaxError, ForwardReference,
                      load_manifest, parse)
 from .poly import (MAX_EXPONENT, VAR_NAMES, ExponentOverflow, InexactDivision,
                    MissingAssignment, MultiPoly, RatFun, ZeroDivisor, gcd,
-                   pseudo_division, ratfun_normalize, variables)
+                   horner, pseudo_division, variables)
 from .ratio import RAT_BACKEND, Rat, rat_str
 from .resultant import (BothConstant, ComputationTimeout, GcdResult,
                         InsufficientSamples, SylvesterMatrix, ZeroInput,
@@ -23,17 +23,17 @@ from .sweep import (CaseResult, SweepConfig, SweepReport, UsageError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BothConstant", "CHECK_NAMES", "CaseResult", "CatalogEntry",
-    "CheckOutcome", "ComputationTimeout", "CoreCatalog", "DegreeTooLow",
-    "DuplicateName", "ExponentOverflow", "ExprSyntaxError", "ForwardReference",
-    "GcdResult", "InexactDivision", "InsufficientSamples", "InvalidParameters",
+    "BothConstant", "CHECK_NAMES", "CaseResult", "CheckOutcome",
+    "ComputationTimeout", "CoreCatalog", "DegreeTooLow", "DuplicateName",
+    "ExponentOverflow", "ExprSyntaxError", "ForwardReference", "GcdResult",
+    "InexactDivision", "InsufficientSamples", "InvalidParameters",
     "KERNEL_BACKEND", "MAX_EXPONENT", "Manifest", "MissingAssignment",
     "MultiPoly", "NegativeExponent", "RAT_BACKEND", "Rat", "RatFun",
     "SweepConfig", "SweepReport", "SylvesterMatrix", "UnknownCheck",
     "UnknownName", "UsageError", "VAR_NAMES", "ZeroDivisor", "ZeroInput",
     "bareiss_det", "build_core", "expected_exceptions", "format_poly", "gcd",
-    "gcd_subresultant", "load_manifest", "manifest", "parse",
-    "pseudo_division", "rat_str", "ratfun_normalize", "reduce_to_z",
-    "resultant", "resultant_interp", "run_case", "run_check", "run_sweep",
-    "sylvester", "variables",
+    "gcd_subresultant", "horner", "load_manifest", "manifest", "parse",
+    "pseudo_division", "rat_str", "reduce_to_z", "resultant",
+    "resultant_interp", "run_case", "run_check", "run_sweep", "sylvester",
+    "variables",
 ]

@@ -7,17 +7,16 @@ polynomials, the m=7, r=4 special-case factorizations, the conic delta,
 the ODE chain of the special case, the final degree-9 polynomial, the
 constant-ratio lemma displays, and the closed forms for the leading
 coefficients.  Everything that needs a derivative or a denominator in
-the parameters (K, the reduced z-polynomials, the rational functions)
+the parameters (K, H at integer parameters, the reduced z-polynomials)
 is constructed here from those entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .parser import Manifest, load_manifest, parse
-from .poly import MultiPoly, RatFun
+from .poly import MultiPoly, horner, int_coeffs
 from .ratio import Rat
 
 MANIFEST_TEXT = """\
@@ -99,16 +98,6 @@ def manifest() -> Manifest:
     return load_manifest(MANIFEST_TEXT)
 
 
-@dataclass
-class CatalogEntry:
-    """A named value together with how it was obtained."""
-
-    name: str
-    value: object  # MultiPoly or RatFun
-    source: str    # manifest expression or construction recipe
-    anchor: str    # role of the object in the verified argument
-
-
 # factor lists mirroring the closed-form manifest entries; the checks
 # evaluate these (a product is zero iff a factor is) and the test suite
 # pins product == manifest entry symbolically
@@ -130,75 +119,78 @@ RES_SPECIAL_FACTORS = (
 )
 
 
-@lru_cache(maxsize=None)
-def _parsed_factors(factors: tuple) -> tuple:
-    """(polynomial, exponent) pairs of a factor table, parsed once."""
-    return tuple((parse(text), e) for text, e in factors)
-
-
-def _eval_factors(value: int, factors: tuple, point: dict) -> int:
-    for p, e in _parsed_factors(factors):
-        value *= int(p.evaluate(point)) ** e
-    return value
+@lru_cache(maxsize=1)
+def closed_form_tables() -> tuple[tuple, tuple, tuple]:
+    """The factor tables as integer coefficient lists, parsed once:
+    (m-factors, r-factors, special factors).  An m-factor or a special
+    factor is (ascending coefficients in m resp. r, exponent); every
+    r-factor must have the form a(m) + b*r and is (ascending
+    coefficients of a, b, exponent)."""
+    m_factors = tuple((tuple(int_coeffs(parse(text), "m")), e)
+                      for text, e in DOMINANT_COEF_M_FACTORS)
+    r_factors = []
+    for text, e in DOMINANT_COEF_R_FACTORS:
+        parts = parse(text).coefficients_in("r")
+        if len(parts) != 2 or not parts[1].is_constant():
+            raise ValueError(f"r-factor {text} is not a(m) + b*r")
+        r_factors.append((tuple(int_coeffs(parts[0], "m")),
+                          int(parts[1].constant_value()), e))
+    special = tuple((tuple(int_coeffs(parse(text), "r")), e)
+                    for text, e in RES_SPECIAL_FACTORS)
+    return m_factors, tuple(r_factors), special
 
 
 def dominant_coef_value(mm: int, rr: int, cc: int) -> int:
-    return _eval_factors(DOMINANT_COEF_CONSTANT * cc ** 12,
-                         DOMINANT_COEF_M_FACTORS + DOMINANT_COEF_R_FACTORS,
-                         {"m": mm, "r": rr})
+    m_factors, r_factors, _ = closed_form_tables()
+    value = DOMINANT_COEF_CONSTANT * cc ** 12
+    for co, e in m_factors:
+        value *= horner(co, mm) ** e
+    for a, b, e in r_factors:
+        value *= (horner(a, mm) + b * rr) ** e
+    return value
 
 
 def res_special_value(rr: int, cc: int) -> int:
-    return _eval_factors(RES_SPECIAL_CONSTANT * cc ** 12, RES_SPECIAL_FACTORS,
-                         {"r": rr})
+    value = RES_SPECIAL_CONSTANT * cc ** 12
+    for co, e in closed_form_tables()[2]:
+        value *= horner(co, rr) ** e
+    return value
 
 
 class CoreCatalog:
-    """The sweep polynomials P, Q, R, H, K for one parameter mode.
+    """The sweep polynomials H and K for one parameter mode.
 
-    Generic mode keeps m, r, c symbolic and works with the single
-    (m-r)-cleared polynomial Hgen = (m-r)*H (the clearing factor is
-    recorded); specialized mode divides it back out so H and K carry
-    the exact rational coefficients.  A specialization (m, r, None)
-    keeps c symbolic.
+    Generic mode (params None) keeps m, r, c symbolic, and H is the
+    (m-r)-cleared polynomial Hgen = (m-r)*H.  A specialization (m, r, c)
+    substitutes the integers and divides (m - r) back out, so H and K
+    carry the exact rational coefficients; c None keeps c symbolic.
     """
 
     def __init__(self, params: tuple[int, int, int | None] | None = None):
-        man = manifest()
-        self.params = params
-        self.generic = params is None
-        if params is None:
-            self.P = man["P"]
-            self.Q = man["Q"]
-            self.R2 = man["R2"]
-            self.conic2 = man["conic2"]
-            self.H = man["Hgen"]
-            self.num_derf = man["NumDerF"]
-            self.den_derf = man["DenDerF"]
-            self.clearing_factor = MultiPoly.var("m") - MultiPoly.var("r")
-            self.R = RatFun(self.R2, self.clearing_factor)
-        else:
+        self._values = ()
+        scale = 1
+        if params is not None:
             m0, r0, c0 = params
             if not (isinstance(m0, int) and isinstance(r0, int)
                     and m0 >= 4 and 2 <= r0 <= m0 - 1
                     and c0 in (-1, 0, 1, None)):
                 raise InvalidParameters(f"bad specialization {params}")
-
-            def spec(p: MultiPoly) -> MultiPoly:
-                p = p.substitute("m", m0).substitute("r", r0)
-                return p if c0 is None else p.substitute("c", c0)
-
-            self.P = spec(man["P"])
-            self.Q = spec(man["Q"])
-            self.R2 = spec(man["R2"])
-            self.conic2 = spec(man["conic2"])
-            self.num_derf = spec(man["NumDerF"])
-            self.den_derf = spec(man["DenDerF"])
-            self.clearing_factor = MultiPoly.const(m0 - r0)
-            self.R = self.R2 * Rat(1, m0 - r0)
-            self.H = spec(man["Hgen"]) * Rat(1, m0 - r0)
+            self._values = (("m", m0), ("r", r0)) + (
+                () if c0 is None else (("c", c0),))
+            scale = Rat(1, m0 - r0)
+        man = manifest()
+        self.num_derf = self.specialize(man["NumDerF"])
+        self.den_derf = self.specialize(man["DenDerF"])
+        self.H = self.specialize(man["Hgen"]) * scale
         self.K = (self.H.derivative("f") * self.num_derf
                   + self.H.derivative("k") * self.den_derf)
+
+    def specialize(self, p: MultiPoly) -> MultiPoly:
+        """p at this catalog's parameter values; the identity in generic
+        mode."""
+        for name, value in self._values:
+            p = p.substitute(name, value)
+        return p
 
     @property
     def new_h(self) -> MultiPoly:
@@ -207,24 +199,6 @@ class CoreCatalog:
     @property
     def new_k(self) -> MultiPoly:
         return reduce_to_z(self.K, 4)
-
-    def entries(self) -> list[CatalogEntry]:
-        man = manifest()
-        mode = "generic" if self.generic else f"specialized{self.params}"
-        out = []
-        for name, value in (("P", self.P), ("Q", self.Q), ("R2", self.R2),
-                            ("conic2", self.conic2), ("NumDerF", self.num_derf),
-                            ("DenDerF", self.den_derf)):
-            out.append(CatalogEntry(name, value, man.sources[name],
-                                    f"{mode} elimination source"))
-        out.append(CatalogEntry("H", self.H,
-                                "Hgen / (m - r) after specialization"
-                                if not self.generic else man.sources["Hgen"],
-                                f"{mode} first sweep polynomial"))
-        out.append(CatalogEntry("K", self.K,
-                                "d(H)/df * NumDerF + d(H)/dk * DenDerF",
-                                f"{mode} second sweep polynomial"))
-        return out
 
 
 def build_core(params: tuple[int, int, int | None] | None = None) -> CoreCatalog:

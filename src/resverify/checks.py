@@ -11,13 +11,13 @@ import time
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .catalog import (DOMINANT_COEF_M_FACTORS, DOMINANT_COEF_R_FACTORS,
-                      build_core, dominant_coef_value, fp_square_to_s,
-                      manifest, res_special_value)
-from .parser import format_poly, parse
-from .poly import MultiPoly, RatFun, pseudo_division
+from .catalog import (build_core, closed_form_tables, dominant_coef_value,
+                      fp_square_to_s, manifest, res_special_value)
+from .parser import format_poly
+from .parser import parse  # noqa: F401  (perfbench/spans.py traces checks.parse)
+from .poly import MultiPoly, RatFun, horner, int_coeffs, pseudo_division
 from .ratio import Rat, rat_str
-from .resultant import _horner, gcd_subresultant, resultant, resultant_interp
+from .resultant import gcd_subresultant, resultant, resultant_interp
 
 
 class UnknownCheck(KeyError):
@@ -92,11 +92,7 @@ def check_special_case(c_mode: str = "symbolic") -> CheckOutcome:
     man = manifest()
     c_value = None if c_mode == "symbolic" else int(c_mode)
     core = build_core((7, 4, c_value))
-    h, k = core.H, core.K
-
-    def spec(p):
-        return p if c_value is None else p.substitute("c", c_value)
-
+    h, k, spec = core.H, core.K, core.specialize
     f = _var("f")
     sc1 = spec(man["sc1conic"] * man["sc1cubic"] * man["sc1tail"]) * Rat(45927, 16)
     sc2 = spec(man["sc2lin"] * man["sc1conic"] * man["sc2oct"]) * Rat(1240029, 16)
@@ -301,26 +297,17 @@ def scan_dominant_factors(m_max: int = 10000) -> CheckOutcome:
     if m_max < 30:
         run.expect("m_max >= 30", False)
         return run.outcome()
-    # a product vanishes iff a factor does: the m-factors as ascending
-    # integer coefficient lists in m, each r-factor as a(m) + b*r
-    m_factors = [_int_coeffs(parse(text), "m")
-                 for text, _ in DOMINANT_COEF_M_FACTORS]
-    r_factors = []
-    for text, _ in DOMINANT_COEF_R_FACTORS:
-        parts = parse(text).coefficients_in("r")
-        if len(parts) != 2 or not parts[1].is_constant():
-            raise ValueError(f"r-factor {text} is not a(m) + b*r")
-        r_factors.append((_int_coeffs(parts[0], "m"),
-                          int(parts[1].constant_value())))
+    # a product vanishes iff a factor does; each r-factor is a(m) + b*r
+    m_factors, r_factors, _ = closed_form_tables()
     bad = None
     zero_pairs = 0
     for mm in range(4, m_max + 1):
-        if any(not _horner(co, mm) for co in m_factors):
+        if any(not horner(co, mm) for co, _ in m_factors):
             zero = set(range(2, mm))
         else:
             zero = set()
-            for a, b in r_factors:
-                root, rem = divmod(-_horner(a, mm), b)
+            for a, b, _ in r_factors:
+                root, rem = divmod(-horner(a, mm), b)
                 if not rem and 2 <= root < mm:
                     zero.add(root)
         if mm in (7, 10):
@@ -345,11 +332,6 @@ def scan_dominant_factors(m_max: int = 10000) -> CheckOutcome:
                f"mismatch at r in {bad_r[:5]}" if bad_r else None)
     run.note("c dependence", "c^12, nonzero for c in {-1, 1}")
     return run.outcome()
-
-
-def _int_coeffs(p: MultiPoly, var: str) -> list[int]:
-    """Ascending integer coefficients of a polynomial in var alone."""
-    return [int(ce.constant_value()) for ce in p.coefficients_in(var)] or [0]
 
 
 def _poly_sqrt_int(coeffs: list[int]) -> list[int] | None:
@@ -417,7 +399,7 @@ def check_appendix_c_leading(samples=None) -> CheckOutcome:
         if not run.expect(f"{tag} raw degree {want_deg}",
                           res.degree("z") == want_deg, res):
             continue
-        root = _poly_sqrt_int(_int_coeffs(res.primitive()[1], "z"))
+        root = _poly_sqrt_int(int_coeffs(res.primitive()[1], "z"))
         if not run.expect(f"{tag} primitive part is a perfect square",
                           root is not None):
             continue

@@ -55,8 +55,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sw.add_argument("--r", default="all", help="'all' or comma list of r values")
     sw.add_argument("--c", default="-1,0,1", help="comma list from {-1,0,1}")
     sw.add_argument("--jobs", type=int, default=1, help="worker processes")
-    sw.add_argument("--full", action="store_true",
-                    help="extend the m range to 4..30")
     sw.add_argument("--format", choices=("json", "text"), default="text")
     sw.add_argument("--stable-output", action="store_true",
                     help="omit elapsed-time fields for byte-identical output")
@@ -95,15 +93,19 @@ def _emit_check(outcome: CheckOutcome, fmt: str, out) -> None:
 
 
 def cmd_sweep(args) -> int:
+    m_lo, m_hi = _parse_range(args.m)
     config = SweepConfig(
         var=args.var,
-        m_lo=_parse_range(args.m)[0],
-        m_hi=30 if args.full else _parse_range(args.m)[1],
+        m_lo=m_lo,
+        m_hi=m_hi,
         r_list=None if args.r == "all" else _parse_int_list(args.r),
         c_list=_parse_int_list(args.c),
         jobs=args.jobs,
         case_timeout=args.case_timeout,
     )
+    config.validate()
+    if not config.cases():
+        raise UsageError("the selected grid has no (m, r, c) case")
     report = run_sweep(config)
     if args.format == "json":
         print(json.dumps(report_to_dict(report, stable=args.stable_output)))

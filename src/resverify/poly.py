@@ -279,17 +279,8 @@ class MultiPoly:
 
     def substitute(self, name: str, value) -> "MultiPoly":
         """Replace a variable by a polynomial (or rational), expanded."""
-        if not isinstance(value, MultiPoly):
-            value = MultiPoly.const(value)
         coeffs = self.coefficients_in(name)
-        if not coeffs:
-            return self
-        if len(coeffs) == 1:
-            return coeffs[0]
-        result = coeffs[-1]
-        for ce in reversed(coeffs[:-1]):
-            result = result * value + ce
-        return result
+        return horner(coeffs, value) if coeffs else self
 
     def evaluate(self, assignment: Mapping[str, object]):
         """Exact value under a full variable assignment (ring homomorphism)."""
@@ -399,47 +390,42 @@ def variables() -> dict[str, MultiPoly]:
     return {name: MultiPoly.var(name) for name in VAR_NAMES}
 
 
+def horner(coeffs, x):
+    """Value at x of the polynomial with ascending coefficients coeffs
+    (nonempty).  Only * and + are used, so coefficients and x may be
+    int, Rat, MultiPoly or RatFun."""
+    acc = coeffs[-1]
+    for co in reversed(coeffs[:-1]):
+        acc = acc * x + co
+    return acc
+
+
+def int_coeffs(p: MultiPoly, var: str) -> list[int]:
+    """Ascending integer coefficients of a polynomial in var alone."""
+    return [int(ce.constant_value()) for ce in p.coefficients_in(var)] or [0]
+
+
 # -- pseudo-division and gcd ------------------------------------------
 
 
 def pseudo_division(a: MultiPoly, b: MultiPoly, name: str
                     ) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """Fraction-free division: scale*a == quot*b + rem with
-    deg_v(rem) < deg_v(b) and scale a power of b's leading v-coefficient."""
+    """Textbook pseudo-division in v: scale*a == quot*b + rem with
+    deg_v(rem) < deg_v(b) and scale = lc_v(b)^max(deg_v(a) - deg_v(b) + 1, 0),
+    the convention of sympy.prem and of the subresultant PRS.  One step
+    is taken per degree of a from deg_v(a) down to deg_v(b), also where
+    the current coefficient has already vanished."""
     if b.is_zero():
         raise ZeroDivisor("pseudo-division by zero")
-    db = b.degree(name)
-    if db == 0:
-        return a, MultiPoly.zero(), b
+    da, db = a.degree(name), b.degree(name)
     lc_b = b.coefficient(name, db)
     quot = MultiPoly.zero()
     rem = a
-    steps = 0
-    d = rem.degree(name)
-    while not rem.is_zero() and d >= db:
+    for d in range(da, db - 1, -1):
         lead = rem.coefficient(name, d) * MultiPoly.var(name, d - db)
         quot = quot * lc_b + lead
         rem = rem * lc_b - lead * b
-        steps += 1
-        d = rem.degree(name)
-    return quot, rem, lc_b ** steps
-
-
-def _prem_scaled(a: MultiPoly, b: MultiPoly, name: str, delta: int) -> MultiPoly:
-    """Pseudo-remainder with the canonical lc(b)^(delta+1) scaling."""
-    db = b.degree(name)
-    lc_b = b.coefficient(name, db)
-    rem = a
-    steps = 0
-    d = rem.degree(name)
-    while not rem.is_zero() and d >= db:
-        lead = rem.coefficient(name, d) * MultiPoly.var(name, d - db)
-        rem = rem * lc_b - lead * b
-        steps += 1
-        d = rem.degree(name)
-    if steps < delta + 1:
-        rem = rem * lc_b ** (delta + 1 - steps)
-    return rem
+    return quot, rem, lc_b ** max(da - db + 1, 0)
 
 
 def _content_in(p: MultiPoly, name: str) -> MultiPoly:
@@ -496,7 +482,7 @@ def _prs_gcd(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
     h = MultiPoly.const(1)
     while True:
         delta = a.degree(name) - b.degree(name)
-        rem = _prem_scaled(a, b, name, delta)
+        rem = pseudo_division(a, b, name)[1]
         if rem.is_zero():
             break
         if rem.degree(name) == 0:
@@ -647,16 +633,6 @@ def _coerce_rf(value):
 
 def subst_ratfun(p: MultiPoly, name: str, value: RatFun) -> RatFun:
     """Substitute a rational function for a variable of a polynomial."""
-    coeffs = p.coefficients_in(name)
-    if not coeffs:
-        return RatFun(MultiPoly.zero())
-    result = RatFun._reduced(coeffs[-1], MultiPoly.const(1))
-    for ce in reversed(coeffs[:-1]):
-        result = result * value + RatFun._reduced(ce, MultiPoly.const(1))
-    return result
-
-
-def ratfun_normalize(num: MultiPoly, den: MultiPoly) -> RatFun:
-    """Reduced rational function num/den (errors on zero denominator)."""
-    return RatFun(num, den)
+    coeffs = [_coerce_rf(ce) for ce in p.coefficients_in(name)]
+    return horner(coeffs, value) if coeffs else RatFun(MultiPoly.zero())
 

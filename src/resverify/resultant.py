@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from . import kernels
-from .poly import MultiPoly, _content_in, _prs_gcd
+from .poly import MultiPoly, _content_in, _prs_gcd, horner
 from .ratio import Rat
 
 
@@ -135,13 +135,6 @@ def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     return bareiss_det(matrix.rows) * factor
 
 
-def _horner(coeffs: list, x: int):
-    acc = coeffs[-1]
-    for co in reversed(coeffs[:-1]):
-        acc = acc * x + co
-    return acc
-
-
 def _newton_interpolate(xs: list[int], ys: list) -> list:
     """Exact coefficients (ascending) of the interpolating polynomial."""
     n = len(xs)
@@ -206,16 +199,15 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
                 f"could not find {needed} admissible sample points")
         if deadline is not None and time.monotonic() > deadline:
             raise ComputationTimeout("per-case deadline expired")
-        if not _horner(lead_a, t) or not _horner(lead_b, t):
+        if not horner(lead_a, t) or not horner(lead_b, t):
             continue
-        rows = _sylvester_rows([_horner(col, t) for col in acols],
-                               [_horner(col, t) for col in bcols], 0)
+        rows = _sylvester_rows([horner(col, t) for col in acols],
+                               [horner(col, t) for col in bcols], 0)
         xs.append(t)
         ys.append(kernels.bareiss_det_int(rows))
 
     coeffs = _newton_interpolate(xs[:-1], ys[:-1])
-    guard = sum(Rat(co) * xs[-1] ** i for i, co in enumerate(coeffs))
-    if guard != ys[-1]:
+    if horner(coeffs, xs[-1]) != ys[-1]:
         raise ArithmeticError("interpolation guard sample mismatch")
     out = MultiPoly.zero()
     for i, co in enumerate(coeffs):

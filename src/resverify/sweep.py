@@ -43,23 +43,25 @@ class SweepConfig:
             raise UsageError("empty r list")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
+        if not self.case_timeout >= 0:
+            raise UsageError("case timeout must be >= 0 seconds")
 
     def cases(self) -> list[tuple[int, int, int]]:
-        out = []
+        """The admissible (m, r, c) grid points, sorted, each once."""
+        out = set()
         for mm in range(self.m_lo, self.m_hi + 1):
             rs = (range(2, mm) if self.r_list is None
                   else [rr for rr in self.r_list if 2 <= rr <= mm - 1])
-            for rr in rs:
-                for cc in sorted(self.c_list):
-                    out.append((mm, rr, cc))
+            out.update((mm, rr, cc) for rr in rs for cc in self.c_list)
         return sorted(out)
 
     def as_dict(self) -> dict:
         return {
             "var": self.var,
             "m": [self.m_lo, self.m_hi],
-            "r": "all" if self.r_list is None else list(self.r_list),
-            "c": sorted(self.c_list),
+            "r": ("all" if self.r_list is None
+                  else list(dict.fromkeys(self.r_list))),
+            "c": sorted(set(self.c_list)),
             "jobs": self.jobs,
             "case_timeout_s": self.case_timeout,
         }

@@ -81,11 +81,6 @@ class TestBuildCore:
             assert sym.H.substitute("c", cc) == spec.H
             assert sym.K.substitute("c", cc) == spec.K
 
-    def test_generic_r_is_ratfun(self):
-        gen = build_core()
-        assert isinstance(gen.R, RatFun)
-        assert gen.R * RatFun(gen.clearing_factor) == RatFun(gen.R2)
-
     def test_degree_table(self):
         for params in ((7, 4, 1), (5, 3, 1)):
             core = build_core(params)
@@ -109,10 +104,6 @@ class TestBuildCore:
         # are swapped relative to the summation convention)
         assert gen.H.coefficient("k", 9).is_zero()
         assert gen.H.coefficient("f", 9) == man["lead9"]
-
-    def test_entries_listing(self):
-        names = {e.name for e in build_core((5, 3, 1)).entries()}
-        assert {"P", "Q", "H", "K"} <= names
 
     def test_spot_value_h(self):
         core = build_core((5, 3, 1))

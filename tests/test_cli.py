@@ -1,5 +1,6 @@
 """Sweep machinery and the verify CLI: reports, exit codes, formats."""
 
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,8 @@ class TestSweep:
             run_sweep(SweepConfig(m_hi=31))
         with pytest.raises(UsageError):
             run_sweep(SweepConfig(c_list=(2,)))
+        with pytest.raises(UsageError):
+            run_sweep(SweepConfig(case_timeout=-1))
 
     def test_case_enumeration_sorted(self):
         cfg = SweepConfig(m_lo=4, m_hi=5, c_list=(1, -1))
@@ -26,6 +29,9 @@ class TestSweep:
         assert cases == sorted(cases)
         assert (4, 2, -1) in cases and (5, 4, 1) in cases
         assert all(2 <= rr <= mm - 1 for mm, rr, _ in cases)
+        repeated = SweepConfig(m_lo=4, m_hi=4, r_list=(2, 2), c_list=(1, 1))
+        assert repeated.cases() == [(4, 2, 1)]
+        assert repeated.as_dict()["r"] == [2] and repeated.as_dict()["c"] == [1]
 
     def test_exception_case(self):
         res = run_case(7, 4, 1, "k")
@@ -120,10 +126,30 @@ class TestCli:
         assert code == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args, digest", [
+        (["--var", "k", "--m", "6..8", "--r", "3,4", "--c", "0,1"],
+         "5a0c99bd5372151974871f0f2d68df6b44d38c650ddbdcfec25c65b46dd0f22b"),
+        (["--var", "f", "--m", "7..7", "--r", "3,4,5", "--c=-1,1",
+          "--format", "json"],
+         "a31a4d67784e84105c430e0d3d6cef5f608f115ff00c34bef26d6339a53608b6"),
+    ])
+    def test_sweep_stable_output_bytes_pinned(self, capsys, args, digest):
+        # the stable report is a reproducibility contract: any change to
+        # the elimination that alters one byte of it fails here
+        code = main(["sweep", *args, "--stable-output"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_sweep_usage_error(self, capsys):
         code = main(["sweep", "--var", "k", "--m", "oops"])
         assert code == 2
         assert "verify:" in capsys.readouterr().err
+
+    def test_sweep_empty_grid_is_usage_error(self, capsys):
+        code = main(["sweep", "--var", "k", "--m", "4..5", "--r", "9"])
+        assert code == 2
+        assert "no (m, r, c) case" in capsys.readouterr().err
 
     def test_check_pass(self, capsys):
         code = main(["check", "biconservative", "--format", "json"])

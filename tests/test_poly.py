@@ -7,7 +7,7 @@ from conftest import (rand_nonzero, rand_poly, ref_eval, ref_from_multipoly,
 
 from resverify.poly import (MAX_EXPONENT, ExponentOverflow, InexactDivision,
                             MissingAssignment, MultiPoly, RatFun, ZeroDivisor,
-                            gcd, pseudo_division, ratfun_normalize, variables)
+                            gcd, horner, pseudo_division, variables)
 from resverify.ratio import Rat
 
 V = variables()
@@ -105,6 +105,12 @@ class TestEvaluate:
 
 
 class TestSubstitute:
+    def test_horner_on_each_coefficient_type(self):
+        assert horner([5, 0, 2], 3) == 23
+        assert horner([Rat(1, 2), Rat(1, 3)], Rat(3)) == Rat(3, 2)
+        assert horner([K, 1, F], K) == F * K ** 2 + 2 * K
+        assert horner([RatFun(F), RatFun(K)], RatFun(F, K)) == RatFun(2 * F)
+
     def test_constant(self):
         assert (M * F + R).substitute("m", 7) == 7 * F + R
 
@@ -223,27 +229,27 @@ class TestGcd:
 
 class TestRatFun:
     def test_reduction(self):
-        rf = ratfun_normalize(F ** 2 - K ** 2, F - K)
+        rf = RatFun(F ** 2 - K ** 2, F - K)
         assert rf.num == F + K
         assert rf.den == MultiPoly.const(1)
 
     def test_p_over_p(self, rng):
         for _ in range(50):
             p = rand_nonzero(rng)
-            rf = ratfun_normalize(p, p)
+            rf = RatFun(p, p)
             assert rf.is_constant() and rf.constant_value() == 1
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisor):
-            ratfun_normalize(F, MultiPoly.zero())
+            RatFun(F, MultiPoly.zero())
 
     def test_cross_multiplication_equality(self):
-        assert ratfun_normalize(2 * F, 2 * K) == ratfun_normalize(F, K)
+        assert RatFun(2 * F, 2 * K) == RatFun(F, K)
 
     def test_den_positive_leading(self, rng):
         for _ in range(50):
             num, den = rand_poly(rng), rand_nonzero(rng)
-            rf = ratfun_normalize(num, den)
+            rf = RatFun(num, den)
             assert rf.den.leading_coefficient() > 0
             assert gcd(rf.num, rf.den).is_constant() or rf.num.is_zero()
 

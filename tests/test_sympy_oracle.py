@@ -1,0 +1,87 @@
+"""Pseudo-remainder, resultant and gcd against sympy, an independent
+implementation that shares no code with this package.  Skipped when
+sympy is not installed."""
+
+import pytest
+from conftest import rand_nonzero, rand_poly
+
+from resverify.poly import VAR_NAMES, gcd, pseudo_division, variables
+from resverify.ratio import Rat
+from resverify.resultant import resultant, resultant_interp
+
+sympy = pytest.importorskip("sympy")
+
+V = variables()
+K = V["k"]
+SYMS = sympy.symbols(VAR_NAMES)
+
+
+def to_sympy(p):
+    total = sympy.Integer(0)
+    for exps, co in p.terms():
+        term = sympy.Rational(int(co.numerator), int(co.denominator))
+        for sym, e in zip(SYMS, exps):
+            term *= sym ** e
+        total += term
+    return total
+
+
+def same(p, expr) -> bool:
+    return sympy.expand(to_sympy(p) - expr) == 0
+
+
+def _with_k(rng, **kw):
+    while True:
+        p = rand_nonzero(rng, **kw)
+        if p.degree("k") >= 1:
+            return p
+
+
+def test_prem_vanishing_intermediate_coefficient():
+    # after the first step the k^1 coefficient is already zero; the
+    # textbook pseudo-remainder still takes that step: lc^2 * 1 = 4
+    quot, rem, scale = pseudo_division(K ** 2 + 1, 2 * K, "k")
+    assert same(rem, sympy.prem(SYMS[1] ** 2 + 1, 2 * SYMS[1], SYMS[1]))
+    assert rem == 4 and scale == 4
+    assert scale * (K ** 2 + 1) == quot * (2 * K) + rem
+
+
+def test_prem_matches_sympy_randomized(rng):
+    k = SYMS[1]
+    for _ in range(150):
+        a = rand_poly(rng)
+        b = rand_nonzero(rng)
+        if rng.random() < 0.3:
+            b = b * Rat(1, rng.randint(2, 5))
+        rem = pseudo_division(a, b, "k")[1]
+        assert same(rem, sympy.prem(to_sympy(a), to_sympy(b), k)), (a, b)
+
+
+def test_resultant_matches_sympy_randomized(rng):
+    k = SYMS[1]
+    # lc(a)^deg(b) * b(root of a) = 2^3 * (-35/8)
+    assert resultant(2 * K + 3, K ** 3 - 1, "k") == -35
+    for _ in range(40):
+        a = _with_k(rng, max_terms=4)
+        b = _with_k(rng, max_terms=4)
+        da, db = a.degree("k"), b.degree("k")
+        # Res(a, b) = (-1)^(da*db) * Res(b, a); sympy 1.14 drops that
+        # sign when deg a < deg b, so it is asked with the larger first
+        if da < db:
+            want = (-1) ** (da * db) * sympy.resultant(to_sympy(b), to_sympy(a), k)
+        else:
+            want = sympy.resultant(to_sympy(a), to_sympy(b), k)
+        assert same(resultant(a, b, "k"), want), (a, b)
+        assert same(resultant_interp(a, b, "k", "f"), want), (a, b)
+
+
+def test_gcd_matches_sympy_randomized(rng):
+    for _ in range(40):
+        g = rand_nonzero(rng, max_terms=3, max_deg=2)
+        a = g * rand_nonzero(rng, max_terms=3, max_deg=2)
+        b = g * rand_nonzero(rng, max_terms=3, max_deg=2)
+        want = sympy.gcd(to_sympy(a), to_sympy(b))
+        # sympy keeps the integer content and its own sign convention;
+        # the two gcds agree up to a nonzero rational factor
+        ratio = sympy.cancel(want / to_sympy(gcd(a, b)))
+        assert ratio.is_Rational and ratio != 0, (a, b)
