@@ -408,24 +408,30 @@ def int_coeffs(p: MultiPoly, var: str) -> list[int]:
 # -- pseudo-division and gcd ------------------------------------------
 
 
-def pseudo_division(a: MultiPoly, b: MultiPoly, name: str
-                    ) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """Textbook pseudo-division in v: scale*a == quot*b + rem with
-    deg_v(rem) < deg_v(b) and scale = lc_v(b)^max(deg_v(a) - deg_v(b) + 1, 0),
-    the convention of sympy.prem and of the subresultant PRS.  One step
-    is taken per degree of a from deg_v(a) down to deg_v(b), also where
-    the current coefficient has already vanished."""
+def prem(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
+    """Textbook pseudo-remainder in v: lc_v(b)^max(deg_v(a) - deg_v(b) + 1, 0)
+    * a reduced modulo b, the convention of sympy.prem and of the
+    subresultant PRS.  One step is taken per degree of a from deg_v(a)
+    down to deg_v(b), also where the current coefficient has already
+    vanished."""
     if b.is_zero():
         raise ZeroDivisor("pseudo-division by zero")
-    da, db = a.degree(name), b.degree(name)
+    db = b.degree(name)
     lc_b = b.coefficient(name, db)
-    quot = MultiPoly.zero()
     rem = a
-    for d in range(da, db - 1, -1):
-        lead = rem.coefficient(name, d) * MultiPoly.var(name, d - db)
-        quot = quot * lc_b + lead
-        rem = rem * lc_b - lead * b
-    return quot, rem, lc_b ** max(da - db + 1, 0)
+    for d in range(a.degree(name), db - 1, -1):
+        rem = rem * lc_b - rem.coefficient(name, d) * MultiPoly.var(name, d - db) * b
+    return rem
+
+
+def pseudo_division(a: MultiPoly, b: MultiPoly, name: str
+                    ) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(quot, rem, scale) with scale*a == quot*b + rem, rem = prem(a, b)
+    and scale = lc_v(b)^max(deg_v(a) - deg_v(b) + 1, 0)."""
+    rem = prem(a, b, name)
+    db = b.degree(name)
+    scale = b.coefficient(name, db) ** max(a.degree(name) - db + 1, 0)
+    return (scale * a - rem).exact_div(b), rem, scale
 
 
 def _content_in(p: MultiPoly, name: str) -> MultiPoly:
@@ -482,7 +488,7 @@ def _prs_gcd(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
     h = MultiPoly.const(1)
     while True:
         delta = a.degree(name) - b.degree(name)
-        rem = pseudo_division(a, b, name)[1]
+        rem = prem(a, b, name)
         if rem.is_zero():
             break
         if rem.degree(name) == 0:

@@ -9,6 +9,7 @@ the returned value is exactly the textbook resultant of the inputs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -155,8 +156,23 @@ def _newton_interpolate(xs: list[int], ys: list) -> list:
 def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
                      deadline: float | None = None) -> MultiPoly:
     """resultant(a, b, var) for bivariate inputs, by evaluating the
-    spectator at integers, taking univariate Sylvester determinants and
+    spectator s at integers, taking univariate Sylvester determinants and
     interpolating.  One extra sample is checked as a consistency guard.
+
+    Only exponents the resultant can hold are sampled.  Let A and B be
+    the largest total degrees in (var, s) of the primitive inputs' terms
+    and da, db their var-degrees.  Bound: the Sylvester entry of a in
+    row i, column j is the coefficient of var^(da-j+i), of s-degree at
+    most A - (da-j+i), likewise for b; summed along any permutation this
+    gives deg_s Res <= top = A*db + B*da - da*db.  Stride: let step be
+    the gcd of A - d and B - d over the terms' total degrees d, and w a
+    step-th root of unity; then a(w v, w s) = w^A a(v, s), the entry
+    above scales by w^(A-(da-j+i)) under s -> w s, so
+    Res(w s) = w^top Res(s) and only exponents congruent to top mod step
+    occur.  With step = 0 (both inputs homogeneous) that holds for every
+    w != 0, so Res = R * s^top.  The samples t = 1, 2, ... thus give
+    nodes x = t^step and values det / t^low, low = top mod step (top if
+    step = 0), an exact integer division.
 
     deadline is an optional time.monotonic() timestamp; crossing it
     between samples raises ComputationTimeout."""
@@ -172,7 +188,17 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     cont_a, prim_a = a.primitive()
     cont_b, prim_b = b.primitive()
     factor = cont_a ** db * cont_b ** da
-    bound = a.degree(spectator) * db + b.degree(spectator) * da
+    degs_a = {sum(exps) for exps, _ in prim_a.terms()}
+    degs_b = {sum(exps) for exps, _ in prim_b.terms()}
+    big_a, big_b = max(degs_a), max(degs_b)
+    top = big_a * db + big_b * da - da * db
+    step = math.gcd(*(big_a - d for d in degs_a), *(big_b - d for d in degs_b))
+    cap = min(a.degree(spectator) * db + b.degree(spectator) * da, top)
+    low = top % step if step else top
+    if cap < low:
+        count = 0  # no admissible exponent: the resultant is zero
+    else:
+        count = (cap - low) // step + 1 if step else 1
 
     def dense_columns(p: MultiPoly) -> list[list]:
         cols = []
@@ -187,7 +213,7 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     bcols = dense_columns(prim_b)
     lead_a, lead_b = acols[-1], bcols[-1]
 
-    needed = bound + 2  # +1 point for degree, +1 consistency guard
+    needed = count + 1  # count coefficients, +1 consistency guard
     xs: list[int] = []
     ys: list = []
     t = 0
@@ -203,16 +229,19 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
             continue
         rows = _sylvester_rows([horner(col, t) for col in acols],
                                [horner(col, t) for col in bcols], 0)
-        xs.append(t)
-        ys.append(kernels.bareiss_det_int(rows))
+        value, rest = divmod(kernels.bareiss_det_int(rows), t ** low)
+        if rest:
+            raise ArithmeticError(f"sample at {t} not divisible by {t}^{low}")
+        xs.append(t ** step)
+        ys.append(value)
 
-    coeffs = _newton_interpolate(xs[:-1], ys[:-1])
+    coeffs = _newton_interpolate(xs[:-1], ys[:-1]) if count else [0]
     if horner(coeffs, xs[-1]) != ys[-1]:
         raise ArithmeticError("interpolation guard sample mismatch")
     out = MultiPoly.zero()
     for i, co in enumerate(coeffs):
         if co:
-            out = out + MultiPoly.var(spectator, i) * co
+            out = out + MultiPoly.var(spectator, low + step * i) * co
     return out * factor
 
 

@@ -127,7 +127,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     args = [(mm, rr, cc, config.var, config.case_timeout)
             for (mm, rr, cc) in cases]
     if config.jobs > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(cases))) as pool:
             results = list(pool.map(_case_worker, args))
     else:
         results = [_case_worker(a) for a in args]

@@ -31,6 +31,46 @@ def rand_nonzero(rng, **kw) -> MultiPoly:
             return p
 
 
+def rand_graded(rng: random.Random, degrees, names=("k", "f"), extra_terms=3,
+                coeff_lo=-9, coeff_hi=9) -> MultiPoly:
+    """Random polynomial in two variables whose terms have exactly the
+    total degrees in `degrees`, with positive degree in names[0]."""
+    coeffs = [co for co in range(coeff_lo, coeff_hi + 1) if co]
+    while True:
+        acc = MultiPoly.zero()
+        picks = list(degrees) + [rng.choice(degrees)
+                                 for _ in range(rng.randint(0, extra_terms))]
+        for d in picks:
+            i = rng.randint(0, d)
+            acc = acc + (rng.choice(coeffs) * MultiPoly.var(names[0], i)
+                         * MultiPoly.var(names[1], d - i))
+        if (acc.degree(names[0]) >= 1
+                and {sum(exps) for exps, _ in acc.terms()} == set(degrees)):
+            return acc
+
+
+# total degrees of the two inputs' terms; the gcd of their gaps to the
+# maxima (the stride of resultant_interp) is 0, 2, 3 and 1
+SHAPES = {
+    "homogeneous": ([2], [3]),
+    "parity": ([4, 2, 0], [3, 1]),
+    "step3": ([5, 2], [4, 1]),
+    "mixed": ([3, 2, 0], [3, 1]),
+}
+
+
+def rand_shaped_pair(rng: random.Random, shape: str):
+    """Two polynomials in (k, f) of one of SHAPES, or of a random shape
+    times a planted common factor of positive k-degree for "planted"."""
+    if shape == "planted":
+        degs_a, degs_b = SHAPES[rng.choice(sorted(SHAPES))]
+        common = rand_graded(rng, rng.choice(([1], [2, 1])))
+        return (common * rand_graded(rng, degs_a, extra_terms=1),
+                common * rand_graded(rng, degs_b, extra_terms=1))
+    degs_a, degs_b = SHAPES[shape]
+    return rand_graded(rng, degs_a), rand_graded(rng, degs_b)
+
+
 # -- reference polynomial arithmetic (tuple-keyed, Fraction coefficients)
 
 def ref_from_multipoly(p: MultiPoly) -> dict:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from resverify import sweep
 from resverify.cli import main
 from resverify.sweep import (SweepConfig, UsageError, expected_exceptions,
                              report_to_dict, run_case, run_sweep)
@@ -76,6 +77,30 @@ class TestSweep:
         d2 = report_to_dict(run_sweep(cfg2), stable=True)
         d1["config"]["jobs"] = d2["config"]["jobs"]
         assert d1 == d2
+
+    def test_pool_capped_at_case_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Runs cases in this process and records the pool size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        cfg = SweepConfig(var="k", m_lo=4, m_hi=4, c_list=(1,), jobs=100000)
+        report = run_sweep(cfg)
+        assert [res.key() for res in report.results] == [(4, 2, 1), (4, 3, 1)]
+        assert sizes == [2]
 
     def test_report_schema(self):
         cfg = SweepConfig(var="k", m_lo=7, m_hi=7, r_list=(3, 4), c_list=(1,))

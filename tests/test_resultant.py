@@ -2,14 +2,17 @@
 resultants on both paths, and subresultant gcd."""
 
 import pytest
-from conftest import cofactor_det, rand_nonzero, rand_poly
+from conftest import (SHAPES, cofactor_det, rand_nonzero, rand_poly,
+                      rand_shaped_pair)
 
+from resverify import kernels
 from resverify.catalog import build_core, manifest
 from resverify.poly import MultiPoly, variables
 from resverify.ratio import Rat
 from resverify.resultant import (BothConstant, GcdResult, ZeroInput,
                                  bareiss_det, gcd_subresultant, resultant,
                                  resultant_interp, sylvester)
+from resverify.sweep import run_case
 
 V = variables()
 F, K, Z, M, C = V["f"], V["k"], V["z"], V["m"], V["c"]
@@ -186,6 +189,64 @@ class TestInterpPath:
         core = build_core((4, 2, 1))
         res = resultant_interp(core.new_h, core.new_k, "f", "z")
         assert res.degree("z") == 80
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """Counts the integer determinants (interpolation samples) taken."""
+    calls = []
+    inner = kernels.bareiss_det_int
+
+    def counting(rows):
+        calls.append(len(rows))
+        return inner(rows)
+
+    monkeypatch.setattr(kernels, "bareiss_det_int", counting)
+    return calls
+
+
+class TestSampleBound:
+    @pytest.mark.parametrize("shape", [*SHAPES, "planted"])
+    def test_shapes_match_symbolic_bareiss(self, rng, det_calls, shape):
+        for _ in range(25):
+            a, b = rand_shaped_pair(rng, shape)
+            del det_calls[:]
+            got = resultant_interp(a, b, "k", "f")
+            assert got == resultant(a, b, "k"), (a, b)
+            if shape == "planted":
+                assert got.is_zero()
+            if shape == "homogeneous":
+                # Res = R * f^top: one sample and the guard
+                assert len(det_calls) <= 2
+
+    def test_zero_by_degree_takes_only_the_guard(self, det_calls):
+        # homogeneous of total degrees 3 and 2, so Res = R * f^5, but the
+        # f-degree bound 1*1 + 1*2 = 3 < 5: only the guard sample is taken
+        assert resultant_interp(K ** 2 * F, K * F, "k", "f").is_zero()
+        assert len(det_calls) == 1
+
+    @pytest.mark.parametrize("var,spectator", [("k", "f"), ("f", "k")])
+    @pytest.mark.parametrize("params", [(9, 5, -1), (7, 4, 1), (15, 8, 0)])
+    def test_sweep_pair_off_the_sample_grid(self, params, var, spectator):
+        core = build_core(params)
+        res = resultant_interp(core.H, core.K, var, spectator)
+        for t0 in (1000, -7):
+            h0 = core.H.substitute(spectator, t0)
+            k0 = core.K.substitute(spectator, t0)
+            # the specialisation keeps both var-degrees, so it commutes
+            # with the resultant
+            assert h0.degree(var) == core.H.degree(var)
+            assert k0.degree(var) == core.K.degree(var)
+            assert res.substitute(spectator, t0) == resultant(h0, k0, var)
+
+    def test_sweep_case_sample_counts(self, det_calls):
+        # f-degree 107 = top with stride 2 at c = +-1 (54 exponents and
+        # the guard); only f^107 at c = 0.  The plain bound 195 took 197.
+        run_case(15, 8, 0, "k")
+        assert len(det_calls) == 2
+        del det_calls[:]
+        run_case(15, 8, 1, "k")
+        assert len(det_calls) <= 56
 
 
 class TestSpecializationConsistency:

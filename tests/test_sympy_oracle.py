@@ -3,7 +3,7 @@ implementation that shares no code with this package.  Skipped when
 sympy is not installed."""
 
 import pytest
-from conftest import rand_nonzero, rand_poly
+from conftest import SHAPES, rand_nonzero, rand_poly, rand_shaped_pair
 
 from resverify.poly import VAR_NAMES, gcd, pseudo_division, variables
 from resverify.ratio import Rat
@@ -37,6 +37,16 @@ def _with_k(rng, **kw):
             return p
 
 
+def _sympy_resultant(a, b):
+    k = SYMS[1]
+    da, db = a.degree("k"), b.degree("k")
+    # Res(a, b) = (-1)^(da*db) * Res(b, a); sympy 1.14 drops that sign
+    # when deg a < deg b, so it is asked with the larger first
+    if da < db:
+        return (-1) ** (da * db) * sympy.resultant(to_sympy(b), to_sympy(a), k)
+    return sympy.resultant(to_sympy(a), to_sympy(b), k)
+
+
 def test_prem_vanishing_intermediate_coefficient():
     # after the first step the k^1 coefficient is already zero; the
     # textbook pseudo-remainder still takes that step: lc^2 * 1 = 4
@@ -58,21 +68,21 @@ def test_prem_matches_sympy_randomized(rng):
 
 
 def test_resultant_matches_sympy_randomized(rng):
-    k = SYMS[1]
     # lc(a)^deg(b) * b(root of a) = 2^3 * (-35/8)
     assert resultant(2 * K + 3, K ** 3 - 1, "k") == -35
     for _ in range(40):
         a = _with_k(rng, max_terms=4)
         b = _with_k(rng, max_terms=4)
-        da, db = a.degree("k"), b.degree("k")
-        # Res(a, b) = (-1)^(da*db) * Res(b, a); sympy 1.14 drops that
-        # sign when deg a < deg b, so it is asked with the larger first
-        if da < db:
-            want = (-1) ** (da * db) * sympy.resultant(to_sympy(b), to_sympy(a), k)
-        else:
-            want = sympy.resultant(to_sympy(a), to_sympy(b), k)
+        want = _sympy_resultant(a, b)
         assert same(resultant(a, b, "k"), want), (a, b)
         assert same(resultant_interp(a, b, "k", "f"), want), (a, b)
+
+
+@pytest.mark.parametrize("shape", [*SHAPES, "planted"])
+def test_interp_sample_bound_matches_sympy(rng, shape):
+    for _ in range(10):
+        a, b = rand_shaped_pair(rng, shape)
+        assert same(resultant_interp(a, b, "k", "f"), _sympy_resultant(a, b)), (a, b)
 
 
 def test_gcd_matches_sympy_randomized(rng):
