@@ -14,8 +14,7 @@ from .poly import (MAX_EXPONENT, VAR_NAMES, ExponentOverflow, InexactDivision,
                    horner, pseudo_division, variables)
 from .ratio import RAT_BACKEND, Rat, rat_str
 from .resultant import (BothConstant, ComputationTimeout, GcdResult,
-                        InsufficientSamples, SylvesterMatrix, ZeroInput,
-                        bareiss_det, gcd_subresultant, resultant,
+                        ZeroInput, bareiss_det, gcd_subresultant, resultant,
                         resultant_interp, sylvester)
 from .sweep import (CaseResult, SweepConfig, SweepReport, UsageError,
                     expected_exceptions, run_case, run_sweep)
@@ -26,14 +25,13 @@ __all__ = [
     "BothConstant", "CHECK_NAMES", "CaseResult", "CheckOutcome",
     "ComputationTimeout", "CoreCatalog", "DegreeTooLow", "DuplicateName",
     "ExponentOverflow", "ExprSyntaxError", "ForwardReference", "GcdResult",
-    "InexactDivision", "InsufficientSamples", "InvalidParameters",
-    "KERNEL_BACKEND", "MAX_EXPONENT", "Manifest", "MissingAssignment",
-    "MultiPoly", "NegativeExponent", "RAT_BACKEND", "Rat", "RatFun",
-    "SweepConfig", "SweepReport", "SylvesterMatrix", "UnknownCheck",
-    "UnknownName", "UsageError", "VAR_NAMES", "ZeroDivisor", "ZeroInput",
-    "bareiss_det", "build_core", "expected_exceptions", "format_poly", "gcd",
-    "gcd_subresultant", "horner", "load_manifest", "manifest", "parse",
-    "pseudo_division", "rat_str", "reduce_to_z", "resultant",
-    "resultant_interp", "run_case", "run_check", "run_sweep", "sylvester",
-    "variables",
+    "InexactDivision", "InvalidParameters", "KERNEL_BACKEND", "MAX_EXPONENT",
+    "Manifest", "MissingAssignment", "MultiPoly", "NegativeExponent",
+    "RAT_BACKEND", "Rat", "RatFun", "SweepConfig", "SweepReport",
+    "UnknownCheck", "UnknownName", "UsageError", "VAR_NAMES", "ZeroDivisor",
+    "ZeroInput", "bareiss_det", "build_core", "expected_exceptions",
+    "format_poly", "gcd", "gcd_subresultant", "horner", "load_manifest",
+    "manifest", "parse", "pseudo_division", "rat_str", "reduce_to_z",
+    "resultant", "resultant_interp", "run_case", "run_check", "run_sweep",
+    "sylvester", "variables",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .parser import Manifest, load_manifest, parse
-from .poly import MultiPoly, horner, int_coeffs
+from .poly import VAR_INDEX, VAR_NAMES, MultiPoly, horner, int_coeffs
 from .ratio import Rat
 
 MANIFEST_TEXT = """\
@@ -214,7 +214,6 @@ def fp_square_to_s(p: MultiPoly) -> MultiPoly:
     polynomial kernel itself never rewrites, so chain constructions
     route their fp products through here before comparisons.
     """
-    from .poly import VAR_INDEX
     si, fpi = VAR_INDEX["s"], VAR_INDEX["fp"]
     terms = {}
     for exps, coeff in p.terms():
@@ -232,14 +231,13 @@ def reduce_to_z(p: MultiPoly, drop: int) -> MultiPoly:
     Every monomial must have (f,k)-total degree >= drop; the result
     satisfies f^drop * result(z -> k/f) == p as rational functions.
     """
-    from .poly import VAR_INDEX
     fi, ki, zi = VAR_INDEX["f"], VAR_INDEX["k"], VAR_INDEX["z"]
     terms = {}
     for exps, coeff in p.terms():
         ef, ek = exps[fi], exps[ki]
         if ef + ek < drop:
             mono = "*".join(f"{nm}^{e}" for nm, e in
-                            zip(("f", "k", "z", "m", "r", "c"), exps) if e)
+                            zip(VAR_NAMES, exps) if e)
             raise DegreeTooLow(f"monomial {mono or '1'} has (f,k)-degree "
                                f"{ef + ek} < drop {drop}")
         new = list(exps)

@@ -131,6 +131,10 @@ def cmd_resultant(args) -> int:
         if name not in man:
             print(f"verify: name {name!r} not in manifest", file=sys.stderr)
             return EXIT_USAGE
+        if man[name].is_zero():
+            print(f"verify: entry {name!r} is the zero polynomial",
+                  file=sys.stderr)
+            return EXIT_USAGE
     if args.var not in VAR_NAMES:
         print(f"verify: unknown variable {args.var!r}", file=sys.stderr)
         return EXIT_USAGE

@@ -55,8 +55,7 @@ def addmul_term(acc: dict, coeff, key: int, b: dict, guard: int) -> None:
 def bareiss_det_int(rows: list) -> int:
     """Fraction-free determinant of a square integer matrix.
 
-    Every interior division is exact (Bareiss); entries may be int or
-    any integer type supporting exact floor division (gmpy2.mpz).
+    Every interior division is exact (Bareiss).
     """
     n = len(rows)
     m = [list(row) for row in rows]

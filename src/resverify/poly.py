@@ -17,11 +17,12 @@ normalization.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable, Iterator, Mapping
 
 from . import kernels
 from .kernels import ExponentOverflow
-from .ratio import RAT_ONE, RAT_ZERO, Rat, int_gcd
+from .ratio import RAT_ONE, RAT_ZERO, Rat
 
 VAR_NAMES = ("f", "k", "z", "m", "r", "c", "alpha", "beta", "s", "fp")
 VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
@@ -357,10 +358,10 @@ class MultiPoly:
         den_lcm = 1
         for coeff in self._d.values():
             d = coeff.denominator
-            den_lcm = den_lcm * d // int_gcd(den_lcm, d)
+            den_lcm = den_lcm * d // math.gcd(den_lcm, d)
         num_gcd = 0
         for coeff in self._d.values():
-            num_gcd = int_gcd(num_gcd, coeff.numerator * (den_lcm // coeff.denominator))
+            num_gcd = math.gcd(num_gcd, coeff.numerator * (den_lcm // coeff.denominator))
             if num_gcd == 1:
                 break
         content = Rat(num_gcd, den_lcm)
@@ -583,9 +584,6 @@ class RatFun:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "RatFun":
-        return _coerce_rf(other) + (-self)
-
     def __mul__(self, other) -> "RatFun":
         other = _coerce_rf(other)
         if other is NotImplemented:
@@ -601,14 +599,6 @@ class RatFun:
         if other.is_zero():
             raise ZeroDivisor("division by zero rational function")
         return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFun":
-        return _coerce_rf(other) / self
-
-    def __pow__(self, e: int) -> "RatFun":
-        if e < 0:
-            return RatFun(self.den, self.num) ** (-e)
-        return RatFun._reduced(self.num ** e, self.den ** e)
 
     def derivative(self, name: str) -> "RatFun":
         return RatFun(self.num.derivative(name) * self.den

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from . import kernels
-from .poly import MultiPoly, _content_in, _prs_gcd, horner
+from .poly import MultiPoly, _content_in, _prs_gcd, horner, int_coeffs
 from .ratio import Rat
 
 
@@ -26,26 +26,8 @@ class BothConstant(ValueError):
     """Sylvester matrix of two polynomials free of the variable."""
 
 
-class InsufficientSamples(RuntimeError):
-    """Interpolation could not collect enough admissible sample points."""
-
-
 class ComputationTimeout(RuntimeError):
     """A cooperative deadline expired mid-computation."""
-
-
-@dataclass
-class SylvesterMatrix:
-    """Square matrix of the shifted coefficient rows of (A, B) in v."""
-
-    rows: list[list[MultiPoly]]
-    a: MultiPoly
-    b: MultiPoly
-    var: str
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
 
 
 @dataclass
@@ -71,14 +53,14 @@ def _sylvester_rows(a_coeffs: list, b_coeffs: list, zero) -> list[list]:
     return rows
 
 
-def sylvester(a: MultiPoly, b: MultiPoly, var: str) -> SylvesterMatrix:
+def sylvester(a: MultiPoly, b: MultiPoly, var: str) -> list[list[MultiPoly]]:
+    """Sylvester matrix rows of (a, b) in var, rows of a on top."""
     if a.is_zero() or b.is_zero():
         raise ZeroInput("Sylvester matrix of a zero polynomial")
     if a.degree(var) == 0 and b.degree(var) == 0:
         raise BothConstant(f"neither input involves {var!r}")
-    rows = _sylvester_rows(a.coefficients_in(var), b.coefficients_in(var),
+    return _sylvester_rows(a.coefficients_in(var), b.coefficients_in(var),
                            MultiPoly.zero())
-    return SylvesterMatrix(rows, a, b, var)
 
 
 def bareiss_det(rows: list[list[MultiPoly]]) -> MultiPoly:
@@ -128,12 +110,12 @@ def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     cont_a, prim_a = a.primitive()
     cont_b, prim_b = b.primitive()
     factor = cont_a ** db * cont_b ** da
-    matrix = sylvester(prim_a, prim_b, var)
-    if all(e.is_constant() for row in matrix.rows for e in row):
+    rows = sylvester(prim_a, prim_b, var)
+    if all(e.is_constant() for row in rows for e in row):
         det_val = kernels.bareiss_det_int(
-            [[e.constant_value().numerator for e in row] for row in matrix.rows])
+            [[e.constant_value().numerator for e in row] for row in rows])
         return MultiPoly.const(Rat(det_val) * factor)
-    return bareiss_det(matrix.rows) * factor
+    return bareiss_det(rows) * factor
 
 
 def _newton_interpolate(xs: list[int], ys: list) -> list:
@@ -172,7 +154,9 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     occur.  With step = 0 (both inputs homogeneous) that holds for every
     w != 0, so Res = R * s^top.  The samples t = 1, 2, ... thus give
     nodes x = t^step and values det / t^low, low = top mod step (top if
-    step = 0), an exact integer division.
+    step = 0), an exact integer division.  Every t is a valid sample: the
+    Sylvester matrix keeps its formal size da + db, so det S(t) = Res(t)
+    also where a leading coefficient vanishes at t (Collins 1971).
 
     deadline is an optional time.monotonic() timestamp; crossing it
     between samples raises ComputationTimeout."""
@@ -200,33 +184,14 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     else:
         count = (cap - low) // step + 1 if step else 1
 
-    def dense_columns(p: MultiPoly) -> list[list]:
-        cols = []
-        for ce in p.coefficients_in(var):
-            dense = [0] * (ce.degree(spectator) + 1 if not ce.is_zero() else 1)
-            for exps, coeff in ce.terms():
-                dense[sum(exps)] = coeff.numerator
-            cols.append(dense)
-        return cols
+    acols = [int_coeffs(ce, spectator) for ce in prim_a.coefficients_in(var)]
+    bcols = [int_coeffs(ce, spectator) for ce in prim_b.coefficients_in(var)]
 
-    acols = dense_columns(prim_a)
-    bcols = dense_columns(prim_b)
-    lead_a, lead_b = acols[-1], bcols[-1]
-
-    needed = count + 1  # count coefficients, +1 consistency guard
     xs: list[int] = []
     ys: list = []
-    t = 0
-    limit = needed + len(lead_a) + len(lead_b) + 16
-    while len(xs) < needed:
-        t += 1
-        if t > limit:
-            raise InsufficientSamples(
-                f"could not find {needed} admissible sample points")
+    for t in range(1, count + 2):  # count coefficients, +1 consistency guard
         if deadline is not None and time.monotonic() > deadline:
             raise ComputationTimeout("per-case deadline expired")
-        if not horner(lead_a, t) or not horner(lead_b, t):
-            continue
         rows = _sylvester_rows([horner(col, t) for col in acols],
                                [horner(col, t) for col in bcols], 0)
         value, rest = divmod(kernels.bareiss_det_int(rows), t ** low)

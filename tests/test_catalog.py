@@ -175,6 +175,8 @@ class TestReduceToZ:
             reduce_to_z(F ** 2, 3)
         with pytest.raises(DegreeTooLow):
             reduce_to_z(K ** 9 + F, 3)
+        with pytest.raises(DegreeTooLow, match=r"alpha\^2\*s\^1"):
+            reduce_to_z(V["s"] * V["alpha"] ** 2, 1)
 
     def test_back_substitution_identity(self):
         for params in ((5, 3, 1), (7, 4, -1), (4, 2, 1)):

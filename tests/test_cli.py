@@ -252,6 +252,14 @@ class TestCli:
         assert code == 2
         capsys.readouterr()
 
+    def test_resultant_zero_entry_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "man.txt"
+        path.write_text("a := 0\nb := k - 1\n")
+        code = main(["resultant", "--manifest", str(path),
+                     "--a", "a", "--b", "b", "--var", "k"])
+        assert code == 2
+        assert "zero polynomial" in capsys.readouterr().err
+
     def test_resultant_bad_var(self, tmp_path, capsys):
         path = tmp_path / "man.txt"
         path.write_text("a := k\nb := k - 1\n")

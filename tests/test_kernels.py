@@ -1,5 +1,6 @@
 """The arithmetic kernels against the independent oracles in conftest."""
 
+import fractions
 import os
 import subprocess
 import sys
@@ -10,13 +11,15 @@ from conftest import (cofactor_det, rand_nonzero, rand_poly, ref_add,
                       ref_from_multipoly, ref_mul)
 
 import resverify
-from resverify import kernels
+from resverify import kernels, ratio
 from resverify.kernels import ExponentOverflow
 from resverify.poly import GUARD_MASK, MAX_EXPONENT, MultiPoly
 
 
 def test_backend_reported():
     assert kernels.BACKEND == "python"
+    assert ratio.RAT_BACKEND == "fractions"
+    assert ratio.Rat is fractions.Fraction
 
 
 def test_star_import_exports_every_public_name():

@@ -28,8 +28,8 @@ def _uni(rng, name="k", max_deg=4):
 class TestSylvester:
     def test_two_linear(self):
         mat = sylvester(K - 2, K - 5, "k")
-        assert mat.dimension == 2
-        assert [[e.constant_value() for e in row] for row in mat.rows] \
+        assert len(mat) == 2
+        assert [[e.constant_value() for e in row] for row in mat] \
             == [[1, -2], [1, -5]]
 
     def test_zero_input(self):
@@ -43,7 +43,7 @@ class TestSylvester:
     def test_entries_are_v_free(self, rng):
         a, b = _uni(rng), _uni(rng)
         mat = sylvester(a, b, "k")
-        assert all("k" not in e.vars_used() for row in mat.rows for e in row)
+        assert all("k" not in e.vars_used() for row in mat for e in row)
 
     def test_dimension_sweep_pair(self):
         core = build_core((7, 4, 1))
@@ -51,16 +51,16 @@ class TestSylvester:
         # the degree-9/degree-12 upper summation bounds of the two sweep
         # displays are not attained (the top coefficients vanish), so
         # the true dimension is 8 + 11
-        assert mat.dimension == 19
+        assert len(mat) == 19
 
     def test_dimension_reduced_pair(self):
         core = build_core((5, 3, 1))
         mat = sylvester(core.new_h, core.new_k, "f")
-        assert mat.dimension == 14
+        assert len(mat) == 14
 
     def test_rows_carry_shifted_coefficients(self):
         mat = sylvester(K ** 2 + 3 * K + 5, K - 1, "k")
-        vals = [[e.constant_value() for e in row] for row in mat.rows]
+        vals = [[e.constant_value() for e in row] for row in mat]
         assert vals == [[1, 3, 5], [1, -1, 0], [0, 1, -1]]
 
 
@@ -218,6 +218,20 @@ class TestSampleBound:
             if shape == "homogeneous":
                 # Res = R * f^top: one sample and the guard
                 assert len(det_calls) <= 2
+
+    @pytest.mark.parametrize("a,b", [
+        ((F - 1) * (F - 2) * K ** 2 + F * K + 1, (F - 1) * K + F ** 2),
+        ((F - 1) * K ** 3 + (F - 3) * K + F ** 2 - 2,
+         (F - 2) * (F - 1) * K ** 2 + 5),
+    ])
+    def test_vanishing_leading_coefficients(self, det_calls, a, b):
+        # the k-leading coefficients vanish at the samples f = 1 and f = 2,
+        # where the Sylvester determinant of formal size still gives Res
+        for t in (1, 2):
+            assert any(p.coefficient("k", p.degree("k")).substitute("f", t)
+                       .is_zero() for p in (a, b))
+        assert resultant_interp(a, b, "k", "f") == resultant(a, b, "k")
+        assert len(det_calls) >= 3
 
     def test_zero_by_degree_takes_only_the_guard(self, det_calls):
         # homogeneous of total degrees 3 and 2, so Res = R * f^5, but the
