@@ -119,15 +119,24 @@ def check_special_case(c_mode: str = "symbolic") -> CheckOutcome:
 
 def check_relation1_delta() -> CheckOutcome:
     """The mixed first-order relation degenerates at m=7, r=4: both
-    derivative coefficients vanish and the cubic block is (3/4)*f*delta."""
+    derivative coefficients vanish, so Hgen collapses to -(P*Q*R2), and
+    the cubic block is (3/4)*f*delta."""
     run = _Run("relation1-delta")
     man = manifest()
-    four_minus_r = MultiPoly.const(4) - _var("r")
-    r_m_3 = _var("r") - _var("m") + MultiPoly.const(3)
-    run.expect("(4 - r) vanishes at r=4",
-               four_minus_r.substitute("r", 4).is_zero())
-    run.expect("(r - m + 3) vanishes at (7,4)",
-               r_m_3.substitute("m", 7).substitute("r", 4).is_zero())
+    # r first: r = 4 leaves 143 of Hgen's 669 terms for both m values
+    hgen, p, q, r2 = (man[name].substitute("r", 4)
+                      for name in ("Hgen", "P", "Q", "R2"))
+
+    def hgen_gap(mm: int) -> MultiPoly:
+        """Hgen + P*Q*R2 at (mm, 4)."""
+        at = [poly.substitute("m", mm) for poly in (hgen, p, q, r2)]
+        return at[0] + at[1] * at[2] * at[3]
+
+    gap = hgen_gap(7)
+    run.expect("Hgen equals -(P*Q*R2) at (7,4): both squared terms drop out",
+               gap.is_zero(), gap)
+    run.expect("negative control: Hgen differs from -(P*Q*R2) at (8,4)",
+               not hgen_gap(8).is_zero())
     cubic = (man["rel1cubic2"].substitute("m", 7).substitute("r", 4)
              * Rat(1, 3))
     target = _var("f") * man["delta"] * Rat(3, 4)

@@ -135,28 +135,107 @@ def _newton_interpolate(xs: list[int], ys: list) -> list:
     return coeffs
 
 
+def _assignment(cost: list[list[int | None]]) -> int | None:
+    """Least total of cost[i][p(i)] over the permutations p that avoid
+    the None entries, or None when every permutation meets one (then the
+    non-None entries admit no perfect matching).  Kuhn's Hungarian
+    method with row and column potentials, O(n^3)."""
+    n = len(cost)
+    inf = math.inf
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    owner = [0] * (n + 1)  # owner[j]: the row matched to column j, 0 free
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        slack = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row = cost[i0 - 1]
+            delta, j1 = inf, 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                c = row[j - 1]
+                if c is not None and c - u[i0] - v[j] < slack[j]:
+                    slack[j] = c - u[i0] - v[j]
+                    way[j] = j0
+                if slack[j] < delta:
+                    delta, j1 = slack[j], j
+            if not j1:
+                # the rows reached so far meet fewer columns than their
+                # number: Frobenius-Koenig
+                return None
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    return sum(cost[owner[j] - 1][j - 1] for j in range(1, n + 1))
+
+
+def _exponent_range(acols: list[list[int]],
+                    bcols: list[list[int]]) -> tuple[int, int] | None:
+    """(lo, hi) with lo <= ord_s det <= deg_s det <= hi for the Sylvester
+    matrix whose entries are the polynomials in s with the ascending
+    coefficient lists acols and bcols, read off the entries' lowest and
+    highest exponents by optimal matching; None when the nonzero entries
+    admit no perfect matching, so that det is identically zero."""
+    def ends(cols):
+        nonzero = [[e for e, co in enumerate(col) if co] for col in cols]
+        return ([e[0] if e else None for e in nonzero],
+                [e[-1] if e else None for e in nonzero])
+
+    (lo_a, hi_a), (lo_b, hi_b) = ends(acols), ends(bcols)
+    neg_hi = [[None if e is None else -e for e in row]
+              for row in _sylvester_rows(hi_a, hi_b, None)]
+    top = _assignment(neg_hi)
+    if top is None:
+        return None
+    return _assignment(_sylvester_rows(lo_a, lo_b, None)), -top
+
+
 def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
                      deadline: float | None = None) -> MultiPoly:
     """resultant(a, b, var) for bivariate inputs, by evaluating the
     spectator s at integers, taking univariate Sylvester determinants and
     interpolating.  One extra sample is checked as a consistency guard.
 
-    Only exponents the resultant can hold are sampled.  Let A and B be
-    the largest total degrees in (var, s) of the primitive inputs' terms
-    and da, db their var-degrees.  Bound: the Sylvester entry of a in
-    row i, column j is the coefficient of var^(da-j+i), of s-degree at
-    most A - (da-j+i), likewise for b; summed along any permutation this
-    gives deg_s Res <= top = A*db + B*da - da*db.  Stride: let step be
-    the gcd of A - d and B - d over the terms' total degrees d, and w a
-    step-th root of unity; then a(w v, w s) = w^A a(v, s), the entry
-    above scales by w^(A-(da-j+i)) under s -> w s, so
-    Res(w s) = w^top Res(s) and only exponents congruent to top mod step
-    occur.  With step = 0 (both inputs homogeneous) that holds for every
-    w != 0, so Res = R * s^top.  The samples t = 1, 2, ... thus give
-    nodes x = t^step and values det / t^low, low = top mod step (top if
-    step = 0), an exact integer division.  Every t is a valid sample: the
-    Sylvester matrix keeps its formal size da + db, so det S(t) = Res(t)
-    also where a leading coefficient vanishes at t (Collins 1971).
+    Only exponents the resultant can hold are sampled.  Range: in
+    det S = sum over permutations p of sign(p) * prod_i S[i][p(i)], the
+    product along p has s-degree equal to the sum of its entries'
+    s-degrees and s-order equal to the sum of their orders.  So
+    deg_s Res <= hi, the maximum-weight perfect matching on the table of
+    the entries' s-degrees, and ord_s Res >= lo, the minimum-weight
+    perfect matching on their orders (Jacobi's bound); a zero entry is
+    an absent edge.  If the nonzero entries admit no perfect matching,
+    every product meets a zero entry and det S is identically zero
+    (Frobenius-Koenig).  Stride: let A and B be the largest total
+    degrees in (var, s) of the primitive inputs' terms, da, db their
+    var-degrees, step the gcd of A - d and B - d over the terms' total
+    degrees d.  The entry of a in row i, column j is the coefficient of
+    var^(da-j+i), so all its s-exponents are congruent to A - (da-j+i)
+    mod step, likewise for b; summed along any permutation these give
+    A*db + B*da - da*db mod step, so every exponent of Res, and lo and
+    hi, lie in one class mod step.  With step = 0 (both inputs
+    homogeneous) every entry is a monomial and lo = hi.  The samples
+    t = 1, 2, ... thus give nodes x = t^step and values det / t^lo, an
+    exact integer division, and (hi - lo) / step + 1 coefficients (one
+    if step = 0).  Every t is a valid sample: the Sylvester matrix keeps
+    its formal size da + db, so det S(t) = Res(t) also where a leading
+    coefficient vanishes at t (Collins 1971).  A structural zero takes
+    the guard sample alone, which must vanish.  For the sweep pair in k
+    at c = +-1 that is 42 coefficients and the guard; in f every case
+    is a structural zero (f divides H and K), one determinant.
 
     deadline is an optional time.monotonic() timestamp; crossing it
     between samples raises ComputationTimeout."""
@@ -175,17 +254,16 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     degs_a = {sum(exps) for exps, _ in prim_a.terms()}
     degs_b = {sum(exps) for exps, _ in prim_b.terms()}
     big_a, big_b = max(degs_a), max(degs_b)
-    top = big_a * db + big_b * da - da * db
     step = math.gcd(*(big_a - d for d in degs_a), *(big_b - d for d in degs_b))
-    cap = min(a.degree(spectator) * db + b.degree(spectator) * da, top)
-    low = top % step if step else top
-    if cap < low:
-        count = 0  # no admissible exponent: the resultant is zero
-    else:
-        count = (cap - low) // step + 1 if step else 1
 
     acols = [int_coeffs(ce, spectator) for ce in prim_a.coefficients_in(var)]
     bcols = [int_coeffs(ce, spectator) for ce in prim_b.coefficients_in(var)]
+    span = _exponent_range(acols, bcols)
+    if span is None:
+        low, count = 0, 0  # structural zero: only the guard sample
+    else:
+        low, high = span
+        count = (high - low) // step + 1 if step else 1
 
     xs: list[int] = []
     ys: list = []

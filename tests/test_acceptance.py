@@ -74,19 +74,25 @@ def test_criterion_03_sweep_variable_f():
             time.monotonic() - start, 600.0 * 8 / WORKERS)
 
 
-@pytest.mark.skipif(not os.environ.get("RESVERIFY_FULL_SWEEP"),
-                    reason="full m<=30 grids; set RESVERIFY_FULL_SWEEP=1")
-def test_criteria_02_03_full_range():
+def _full_range(criterion: int, var: str) -> None:
     start = time.monotonic()
-    ok = True
-    for var in ("k", "f"):
-        cfg = SweepConfig(var=var, m_lo=4, m_hi=30, c_list=(-1, 0, 1),
-                          jobs=WORKERS)
-        report = run_sweep(cfg)
-        ok = ok and not report.timed_out
-        ok = ok and report.exceptions == expected_exceptions(cfg)
-    _report(2, "full-range sweeps (both variables, m <= 30)", ok,
-            time.monotonic() - start, 2 * 7200.0 * 8 / WORKERS)
+    cfg = SweepConfig(var=var, m_lo=4, m_hi=30, c_list=(-1, 0, 1),
+                      jobs=WORKERS)
+    report = run_sweep(cfg)
+    ok = not report.timed_out
+    ok = ok and report.exceptions == expected_exceptions(cfg)
+    _report(criterion, f"full-range variable-{var} sweep (m <= 30)", ok,
+            time.monotonic() - start, 7200.0 * 8 / WORKERS)
+
+
+@pytest.mark.skipif(not os.environ.get("RESVERIFY_FULL_SWEEP"),
+                    reason="full m<=30 k grid; set RESVERIFY_FULL_SWEEP=1")
+def test_criterion_02_full_range_variable_k():
+    _full_range(2, "k")
+
+
+def test_criterion_03_full_range_variable_f():
+    _full_range(3, "f")
 
 
 def test_criterion_04_reduced_pair_leading_coefficients():

@@ -1,10 +1,15 @@
 """Named verification checks: all pass, with the expected reported
 details."""
 
+import dataclasses
+
 import pytest
 
+from resverify import checks
+from resverify.catalog import manifest
 from resverify.checks import (CHECK_NAMES, UnknownCheck,
                               check_appendix_c_leading, run_check)
+from resverify.poly import MultiPoly
 from resverify.ratio import Rat
 
 
@@ -40,6 +45,26 @@ def test_special_case_fixed_c():
 def test_relation1_delta():
     out = run_check("relation1-delta")
     assert out.passed, out.witness
+    assert out.detail["negative control: Hgen differs from -(P*Q*R2) "
+                      "at (8,4)"] == "ok"
+
+
+@pytest.mark.parametrize("perturb,failing", [
+    # one more f term: the collapse at (7,4) no longer holds
+    (lambda man: man["Hgen"] + MultiPoly.var("f"),
+     "Hgen equals -(P*Q*R2) at (7,4): both squared terms drop out"),
+    # the collapse everywhere: the (8,4) control no longer separates
+    (lambda man: -(man["P"] * man["Q"] * man["R2"]),
+     "negative control: Hgen differs from -(P*Q*R2) at (8,4)"),
+])
+def test_relation1_delta_fails_on_perturbed_hgen(monkeypatch, perturb,
+                                                  failing):
+    man = manifest()
+    bad = dataclasses.replace(man, values={**man.values, "Hgen": perturb(man)})
+    monkeypatch.setattr(checks, "manifest", lambda: bad)
+    out = run_check("relation1-delta")
+    assert not out.passed
+    assert out.detail[failing] == "FAIL"
 
 
 def test_biconservative():

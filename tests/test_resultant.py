@@ -7,10 +7,11 @@ from conftest import (SHAPES, cofactor_det, rand_nonzero, rand_poly,
 
 from resverify import kernels
 from resverify.catalog import build_core, manifest
-from resverify.poly import MultiPoly, variables
+from resverify.poly import MultiPoly, int_coeffs, variables
 from resverify.ratio import Rat
 from resverify.resultant import (BothConstant, GcdResult, ZeroInput,
-                                 bareiss_det, gcd_subresultant, resultant,
+                                 _exponent_range, bareiss_det,
+                                 gcd_subresultant, resultant,
                                  resultant_interp, sylvester)
 from resverify.sweep import run_case
 
@@ -233,11 +234,36 @@ class TestSampleBound:
         assert resultant_interp(a, b, "k", "f") == resultant(a, b, "k")
         assert len(det_calls) >= 3
 
-    def test_zero_by_degree_takes_only_the_guard(self, det_calls):
-        # homogeneous of total degrees 3 and 2, so Res = R * f^5, but the
-        # f-degree bound 1*1 + 1*2 = 3 < 5: only the guard sample is taken
-        assert resultant_interp(K ** 2 * F, K * F, "k", "f").is_zero()
-        assert len(det_calls) == 1
+    @pytest.mark.parametrize("shape", [*SHAPES, "planted"])
+    def test_matching_bounds_bracket_the_resultant(self, rng, shape):
+        def columns(p):
+            prim = p.primitive()[1]
+            return [int_coeffs(ce, "f") for ce in prim.coefficients_in("k")]
+
+        for _ in range(25):
+            a, b = rand_shaped_pair(rng, shape)
+            span = _exponent_range(columns(a), columns(b))
+            res = resultant(a, b, "k")
+            if span is None:
+                assert res.is_zero(), (a, b)
+                continue
+            lo, hi = span
+            assert lo <= hi
+            if not res.is_zero():
+                exps = [e for e, co in enumerate(res.coefficients_in("f"))
+                        if not co.is_zero()]
+                assert lo <= exps[0] and exps[-1] <= hi, (a, b, span)
+
+    def test_structural_zero_takes_only_the_guard(self, rng, det_calls):
+        # k divides both inputs, so the Sylvester matrix's last column is
+        # empty: no perfect matching, det = 0, one guard sample confirms it
+        pairs = [(K ** 2 * F, K * F)]
+        pairs += [tuple(K * p for p in rand_shaped_pair(rng, shape))
+                  for shape in (*SHAPES, "planted") for _ in range(5)]
+        for a, b in pairs:
+            del det_calls[:]
+            assert resultant_interp(a, b, "k", "f").is_zero()
+            assert len(det_calls) == 1
 
     @pytest.mark.parametrize("var,spectator", [("k", "f"), ("f", "k")])
     @pytest.mark.parametrize("params", [(9, 5, -1), (7, 4, 1), (15, 8, 0)])
@@ -254,13 +280,25 @@ class TestSampleBound:
             assert res.substitute(spectator, t0) == resultant(h0, k0, var)
 
     def test_sweep_case_sample_counts(self, det_calls):
-        # f-degree 107 = top with stride 2 at c = +-1 (54 exponents and
-        # the guard); only f^107 at c = 0.  The plain bound 195 took 197.
+        # the matchings give f-exponents 25..107 with stride 2 at c = +-1
+        # (42 coefficients and the guard); only f^107 at c = 0
         run_case(15, 8, 0, "k")
         assert len(det_calls) == 2
         del det_calls[:]
         run_case(15, 8, 1, "k")
-        assert len(det_calls) <= 56
+        assert len(det_calls) == 43
+        # f divides H and K: a structural zero, the guard sample alone
+        for params in ((15, 8, 1), (4, 2, 0), (7, 4, -1)):
+            del det_calls[:]
+            assert run_case(*params, "f").zero
+            assert len(det_calls) == 1
+
+    @pytest.mark.parametrize("cc", [1, -1])
+    def test_conic_zero_is_sampled(self, det_calls, cc):
+        # the (7,4) zero in k comes from the common conic factor, not from
+        # the shape of the Sylvester matrix, so the full range is sampled
+        assert run_case(7, 4, cc, "k").zero
+        assert len(det_calls) == 43
 
 
 class TestSpecializationConsistency:

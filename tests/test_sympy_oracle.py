@@ -5,6 +5,7 @@ sympy is not installed."""
 import pytest
 from conftest import SHAPES, rand_nonzero, rand_poly, rand_shaped_pair
 
+from resverify.catalog import build_core
 from resverify.poly import VAR_NAMES, gcd, pseudo_division, variables
 from resverify.ratio import Rat
 from resverify.resultant import resultant, resultant_interp
@@ -37,14 +38,15 @@ def _with_k(rng, **kw):
             return p
 
 
-def _sympy_resultant(a, b):
-    k = SYMS[1]
-    da, db = a.degree("k"), b.degree("k")
+def _sympy_resultant(a, b, var="k"):
+    sym = SYMS[VAR_NAMES.index(var)]
+    da, db = a.degree(var), b.degree(var)
     # Res(a, b) = (-1)^(da*db) * Res(b, a); sympy 1.14 drops that sign
     # when deg a < deg b, so it is asked with the larger first
     if da < db:
-        return (-1) ** (da * db) * sympy.resultant(to_sympy(b), to_sympy(a), k)
-    return sympy.resultant(to_sympy(a), to_sympy(b), k)
+        return ((-1) ** (da * db)
+                * sympy.resultant(to_sympy(b), to_sympy(a), sym))
+    return sympy.resultant(to_sympy(a), to_sympy(b), sym)
 
 
 def test_prem_vanishing_intermediate_coefficient():
@@ -83,6 +85,20 @@ def test_interp_sample_bound_matches_sympy(rng, shape):
     for _ in range(10):
         a, b = rand_shaped_pair(rng, shape)
         assert same(resultant_interp(a, b, "k", "f"), _sympy_resultant(a, b)), (a, b)
+
+
+@pytest.mark.parametrize("var,params,is_zero", [
+    ("k", (4, 2, 1), False),
+    ("k", (4, 2, -1), False),
+    ("k", (7, 4, 1), True),  # the conic is a common factor
+    ("f", (4, 2, 1), True),  # f divides both
+], ids=["k-4,2,1", "k-4,2,-1", "k-7,4,1", "f-4,2,1"])
+def test_sweep_pair_matches_sympy(var, params, is_zero):
+    core = build_core(params)
+    spectator = "f" if var == "k" else "k"
+    got = resultant_interp(core.H, core.K, var, spectator)
+    assert got.is_zero() == is_zero
+    assert same(got, _sympy_resultant(core.H, core.K, var))
 
 
 def test_gcd_matches_sympy_randomized(rng):
