@@ -1,10 +1,13 @@
-"""Elimination algorithms: Sylvester resultants (fraction-free Bareiss
-and evaluation-interpolation paths) and subresultant-PRS gcd.
+"""Elimination algorithms: resultants (fraction-free Bareiss and
+evaluation-interpolation paths) and subresultant-PRS gcd.
 
 Sign convention: the Sylvester determinant with the rows of the first
-argument on top.  Rational content of the inputs is cleared before the
-determinant and reapplied as leading-coefficient-power bookkeeping, so
-the returned value is exactly the textbook resultant of the inputs.
+argument on top.  Every determinant is taken on a Bezout-type matrix of
+size max(da, db), which has that determinant exactly (`_bezout_rows`);
+`sylvester` builds the Sylvester matrix itself.  Rational content of the
+inputs is cleared before the determinant and reapplied as
+leading-coefficient-power bookkeeping, so the returned value is exactly
+the textbook resultant of the inputs.
 """
 
 from __future__ import annotations
@@ -50,6 +53,54 @@ def _sylvester_rows(a_coeffs: list, b_coeffs: list, zero) -> list[list]:
             row = [zero] * dim
             row[i:i + len(top)] = top
             rows.append(row)
+    return rows
+
+
+def _bezout_rows(f: list, g: list, zero) -> list[list]:
+    """Bezout-type rows from ascending coefficient lists f, g of formal
+    degrees m >= n >= 1: m rows of length m, ascending columns, whose
+    determinant is the Sylvester determinant of (f, g), sign included.
+
+    The rows are x^i*g for i < m - n, then for k = 1..n the coefficients
+    of B_k = F_k*x^(m-n)*g - G_k*f, where F_k = f_m x^(k-1) + ... +
+    f_(m-k+1) and G_k = g_n x^(k-1) + ... + g_(n-k+1) hold the top k
+    coefficients of f and g.  With f = F_k*x^(m-k+1) + f' and
+    g = G_k*x^(n-k+1) + g', B_k = F_k*x^(m-n)*g' - G_k*f' has degree < m.
+    One pass builds them: B_k = x*B_(k-1) + f_(m-k+1)*x^(m-n)*g
+    - g_(n-k+1)*f, whose x^m terms cancel.
+
+    Proof.  Let S be the Sylvester matrix (rows x^(n-1)*f, ..., f, then
+    x^(m-1)*g, ..., g; columns x^(m+n-1), ..., 1) and S' = T*S the matrix
+    with the row x^(m-n+k-1)*g replaced by B_k for k = 1..n.  B_k is f_m
+    times that row plus multiples of the rows x^j*g, j < m-n+k-1, and
+    x^j*f, j < k, so T is the identity on the f rows and triangular on
+    the g rows, with f_m on the diagonal at the n replaced rows:
+    det S' = f_m^n * det S.  The g rows of S' have degree < m and the
+    f rows are triangular on the first n columns with f_m on the
+    diagonal, so det S' = f_m^n * det B', where B' has the rows B_n, ...,
+    B_1, x^(m-n-1)*g, ..., g on the columns x^(m-1), ..., 1.  Reversing
+    both the rows and the columns of B' keeps its determinant and gives
+    B, the rows returned here.  So f_m^n * (det S - det B) = 0 as
+    polynomials in the coefficients, and det B = det S identically:
+    also where f_m or g_n vanishes.  For formal degrees da < db, swap
+    the inputs and multiply by (-1)^(da*db), the sign of moving the db
+    rows of a past the da rows of b in S."""
+    m, n = len(f) - 1, len(g) - 1
+    shift = m - n
+    rows = []
+    for i in range(shift):
+        row = [zero] * m
+        row[i:i + n + 1] = g
+        rows.append(row)
+    row = [zero] * m
+    for k in range(1, n + 1):
+        fk, gk = f[m - k + 1], g[n - k + 1]
+        row = [zero] + row[:-1]
+        for j in range(n):
+            row[shift + j] += fk * g[j]
+        for j in range(m):
+            row[j] -= gk * f[j]
+        rows.append(row)
     return rows
 
 
@@ -110,7 +161,12 @@ def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     cont_a, prim_a = a.primitive()
     cont_b, prim_b = b.primitive()
     factor = cont_a ** db * cont_b ** da
-    rows = sylvester(prim_a, prim_b, var)
+    a_coeffs = prim_a.coefficients_in(var)
+    b_coeffs = prim_b.coefficients_in(var)
+    if da < db:
+        a_coeffs, b_coeffs = b_coeffs, a_coeffs
+        factor *= (-1) ** (da * db)
+    rows = _bezout_rows(a_coeffs, b_coeffs, MultiPoly.zero())
     if all(e.is_constant() for row in rows for e in row):
         det_val = kernels.bareiss_det_int(
             [[e.constant_value().numerator for e in row] for row in rows])
@@ -118,13 +174,20 @@ def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     return bareiss_det(rows) * factor
 
 
-def _newton_interpolate(xs: list[int], ys: list) -> list:
-    """Exact coefficients (ascending) of the interpolating polynomial."""
+def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:
+    """Ascending integer coefficients of the polynomial through the
+    points (xs, ys), for distinct integer nodes and values that lie on a
+    polynomial with integer coefficients.  The divided difference of x^j
+    over k + 1 nodes is the complete homogeneous symmetric polynomial of
+    degree j - k in them, an integer, so every division is exact; a
+    nonzero remainder raises ArithmeticError."""
     n = len(xs)
-    dd = [Rat(y) for y in ys]
+    dd = list(ys)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
+            dd[i], rest = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - level])
+            if rest:
+                raise ArithmeticError("no integer polynomial fits the samples")
     coeffs = [dd[n - 1]]
     for i in range(n - 2, -1, -1):
         # coeffs <- coeffs*(x - xs[i]) + dd[i]
@@ -207,13 +270,15 @@ def _exponent_range(acols: list[list[int]],
 def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
                      deadline: float | None = None) -> MultiPoly:
     """resultant(a, b, var) for bivariate inputs, by evaluating the
-    spectator s at integers, taking univariate Sylvester determinants and
-    interpolating.  One extra sample is checked as a consistency guard.
+    spectator s at integers, taking integer determinants of the
+    Bezout-type matrix of size max(da, db) and interpolating in integers.
+    One extra sample is checked as a consistency guard.
 
-    Only exponents the resultant can hold are sampled.  Range: in
-    det S = sum over permutations p of sign(p) * prod_i S[i][p(i)], the
-    product along p has s-degree equal to the sum of its entries'
-    s-degrees and s-order equal to the sum of their orders.  So
+    Only exponents the resultant can hold are sampled.  Range: for the
+    Sylvester matrix S, in det S = sum over permutations p of
+    sign(p) * prod_i S[i][p(i)], the product along p has s-degree equal
+    to the sum of its entries' s-degrees and s-order equal to the sum of
+    their orders.  So
     deg_s Res <= hi, the maximum-weight perfect matching on the table of
     the entries' s-degrees, and ord_s Res >= lo, the minimum-weight
     perfect matching on their orders (Jacobi's bound); a zero entry is
@@ -230,12 +295,16 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     homogeneous) every entry is a monomial and lo = hi.  The samples
     t = 1, 2, ... thus give nodes x = t^step and values det / t^lo, an
     exact integer division, and (hi - lo) / step + 1 coefficients (one
-    if step = 0).  Every t is a valid sample: the Sylvester matrix keeps
-    its formal size da + db, so det S(t) = Res(t) also where a leading
-    coefficient vanishes at t (Collins 1971).  A structural zero takes
-    the guard sample alone, which must vanish.  For the sweep pair in k
-    at c = +-1 that is 42 coefficients and the guard; in f every case
-    is a structural zero (f divides H and K), one determinant.
+    if step = 0).  Every t is a valid sample: the determinant of the
+    Bezout-type matrix of the formal degrees equals that of the Sylvester
+    matrix of formal size da + db identically (`_bezout_rows`), so it is
+    Res(t) also where a leading coefficient vanishes at t (Collins 1971).
+    Res has integer coefficients, so Newton interpolation at the integer
+    nodes runs in integers with exact divisions.  A structural zero
+    takes the guard sample alone, which must vanish.  For the sweep pair
+    in k at c = +-1 that is 42 coefficients and the guard, each an 11x11
+    determinant (Sylvester: 19x19); in f every case is a structural zero
+    (f divides H and K), one 12x12 determinant.
 
     deadline is an optional time.monotonic() timestamp; crossing it
     between samples raises ComputationTimeout."""
@@ -259,6 +328,9 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     acols = [int_coeffs(ce, spectator) for ce in prim_a.coefficients_in(var)]
     bcols = [int_coeffs(ce, spectator) for ce in prim_b.coefficients_in(var)]
     span = _exponent_range(acols, bcols)
+    if da < db:
+        acols, bcols = bcols, acols
+        factor *= (-1) ** (da * db)
     if span is None:
         low, count = 0, 0  # structural zero: only the guard sample
     else:
@@ -266,12 +338,12 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
         count = (high - low) // step + 1 if step else 1
 
     xs: list[int] = []
-    ys: list = []
+    ys: list[int] = []
     for t in range(1, count + 2):  # count coefficients, +1 consistency guard
         if deadline is not None and time.monotonic() > deadline:
             raise ComputationTimeout("per-case deadline expired")
-        rows = _sylvester_rows([horner(col, t) for col in acols],
-                               [horner(col, t) for col in bcols], 0)
+        rows = _bezout_rows([horner(col, t) for col in acols],
+                            [horner(col, t) for col in bcols], 0)
         value, rest = divmod(kernels.bareiss_det_int(rows), t ** low)
         if rest:
             raise ArithmeticError(f"sample at {t} not divisible by {t}^{low}")

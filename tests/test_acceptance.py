@@ -9,7 +9,6 @@ import os
 import random
 import time
 
-import pytest
 from conftest import rand_poly
 
 from resverify.catalog import build_core, manifest
@@ -85,8 +84,6 @@ def _full_range(criterion: int, var: str) -> None:
             time.monotonic() - start, 7200.0 * 8 / WORKERS)
 
 
-@pytest.mark.skipif(not os.environ.get("RESVERIFY_FULL_SWEEP"),
-                    reason="full m<=30 k grid; set RESVERIFY_FULL_SWEEP=1")
 def test_criterion_02_full_range_variable_k():
     _full_range(2, "k")
 

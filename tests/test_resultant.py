@@ -1,5 +1,6 @@
-"""Elimination engine: Sylvester matrices, Bareiss determinants,
-resultants on both paths, and subresultant gcd."""
+"""Elimination engine: Sylvester and Bezout-type matrices, Bareiss
+determinants, resultants on both paths, integer interpolation, and
+subresultant gcd."""
 
 import pytest
 from conftest import (SHAPES, cofactor_det, rand_nonzero, rand_poly,
@@ -7,11 +8,12 @@ from conftest import (SHAPES, cofactor_det, rand_nonzero, rand_poly,
 
 from resverify import kernels
 from resverify.catalog import build_core, manifest
-from resverify.poly import MultiPoly, int_coeffs, variables
+from resverify.poly import MultiPoly, horner, int_coeffs, variables
 from resverify.ratio import Rat
 from resverify.resultant import (BothConstant, GcdResult, ZeroInput,
-                                 _exponent_range, bareiss_det,
-                                 gcd_subresultant, resultant,
+                                 _bezout_rows, _exponent_range,
+                                 _newton_interpolate, _sylvester_rows,
+                                 bareiss_det, gcd_subresultant, resultant,
                                  resultant_interp, sylvester)
 from resverify.sweep import run_case
 
@@ -63,6 +65,56 @@ class TestSylvester:
         mat = sylvester(K ** 2 + 3 * K + 5, K - 1, "k")
         vals = [[e.constant_value() for e in row] for row in mat]
         assert vals == [[1, 3, 5], [1, -1, 0], [0, 1, -1]]
+
+
+class TestBezout:
+    def test_determinant_is_the_sylvester_determinant(self, rng):
+        # sign included, also where a formal leading coefficient is 0
+        for _ in range(1500):
+            m = rng.randint(1, 9)
+            n = rng.randint(1, m)
+            f = [rng.randint(-9, 9) for _ in range(m + 1)]
+            g = [rng.randint(-9, 9) for _ in range(n + 1)]
+            if rng.random() < 0.2:
+                f[-1] = 0
+            if rng.random() < 0.2:
+                g[-1] = 0
+            rows = _bezout_rows(f, g, 0)
+            assert len(rows) == m and all(len(row) == m for row in rows)
+            assert kernels.bareiss_det_int(rows) == \
+                kernels.bareiss_det_int(_sylvester_rows(f, g, 0)), (f, g)
+
+    def test_rows(self):
+        # f = x^3 + 2x^2 + 3x + 4, g = 5x^2 + 6x + 7: the row g, then
+        # B_1 = 1*x*g - 5*f and B_2 = (x + 2)*x*g - (5x + 6)*f
+        rows = _bezout_rows([4, 3, 2, 1], [7, 6, 5], 0)
+        assert rows == [[7, 6, 5], [-20, -8, -4], [-24, -24, -8]]
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_symbolic_resultant_is_the_sylvester_determinant(self, rng, shape):
+        for _ in range(10):
+            a, b = rand_shaped_pair(rng, shape)
+            assert resultant(a, b, "k") == bareiss_det(sylvester(a, b, "k"))
+            assert resultant(b, a, "k") == bareiss_det(sylvester(b, a, "k"))
+
+
+class TestNewton:
+    def test_integer_coefficients_from_integer_samples(self, rng):
+        for _ in range(200):
+            coeffs = [rng.randint(-10 ** 6, 10 ** 6)
+                      for _ in range(rng.randint(1, 12))]
+            step = rng.choice((1, 2, 3))
+            xs = [t ** step for t in range(1, len(coeffs) + 1)]
+            got = _newton_interpolate(xs, [horner(coeffs, x) for x in xs])
+            # a float or a Fraction here would fail the type check
+            assert all(type(co) is int for co in got)
+            assert got == coeffs
+
+    @pytest.mark.parametrize("xs,ys", [((1, 3), (0, 1)),
+                                       ((1, 2, 4), (0, 0, 3))])
+    def test_no_integer_polynomial_fits(self, xs, ys):
+        with pytest.raises(ArithmeticError):
+            _newton_interpolate(list(xs), list(ys))
 
 
 class TestBareiss:
@@ -224,15 +276,21 @@ class TestSampleBound:
         ((F - 1) * (F - 2) * K ** 2 + F * K + 1, (F - 1) * K + F ** 2),
         ((F - 1) * K ** 3 + (F - 3) * K + F ** 2 - 2,
          (F - 2) * (F - 1) * K ** 2 + 5),
+        ((F - 1) * K ** 3 + F * K + F ** 2, (F - 2) * K ** 2 + (F - 1) * K + 3),
+        ((F - 1) * (F - 2) * K ** 4 + K ** 2 - F, (F - 1) * K + F ** 3),
     ])
     def test_vanishing_leading_coefficients(self, det_calls, a, b):
         # the k-leading coefficients vanish at the samples f = 1 and f = 2,
-        # where the Sylvester determinant of formal size still gives Res
+        # where the determinant of formal size still gives Res, in either
+        # argument order (the Bezout matrix swaps them when da < db)
         for t in (1, 2):
             assert any(p.coefficient("k", p.degree("k")).substitute("f", t)
                        .is_zero() for p in (a, b))
-        assert resultant_interp(a, b, "k", "f") == resultant(a, b, "k")
+        want = bareiss_det(sylvester(a, b, "k"))
+        sign = (-1) ** (a.degree("k") * b.degree("k"))
+        assert resultant_interp(a, b, "k", "f") == want
         assert len(det_calls) >= 3
+        assert resultant_interp(b, a, "k", "f") == want * sign
 
     @pytest.mark.parametrize("shape", [*SHAPES, "planted"])
     def test_matching_bounds_bracket_the_resultant(self, rng, shape):
@@ -281,17 +339,19 @@ class TestSampleBound:
 
     def test_sweep_case_sample_counts(self, det_calls):
         # the matchings give f-exponents 25..107 with stride 2 at c = +-1
-        # (42 coefficients and the guard); only f^107 at c = 0
+        # (42 coefficients and the guard); only f^107 at c = 0.  Each
+        # determinant is 11x11 in k (H has k-degree 8, K 11) and 12x12 in
+        # f (degrees 12 and 9)
         run_case(15, 8, 0, "k")
-        assert len(det_calls) == 2
+        assert det_calls == [11] * 2
         del det_calls[:]
         run_case(15, 8, 1, "k")
-        assert len(det_calls) == 43
+        assert det_calls == [11] * 43
         # f divides H and K: a structural zero, the guard sample alone
         for params in ((15, 8, 1), (4, 2, 0), (7, 4, -1)):
             del det_calls[:]
             assert run_case(*params, "f").zero
-            assert len(det_calls) == 1
+            assert det_calls == [12]
 
     @pytest.mark.parametrize("cc", [1, -1])
     def test_conic_zero_is_sampled(self, det_calls, cc):
