@@ -1,9 +1,13 @@
 """Kernels for the hot inner loops.
 
-Polynomials appear here as raw dicts mapping packed exponent keys
-(int) to rational/integer coefficients; key addition is monomial
-multiplication.  A set guard bit in a key sum means a per-variable
-exponent overflowed its field.  Callers look these functions up as
+Multivariate polynomials appear here as raw dicts mapping packed
+exponent keys (int) to rational/integer coefficients; key addition is
+monomial multiplication.  A set guard bit in a key sum means a
+per-variable exponent overflowed its field.  The integer kernels take
+plain lists: `bareiss_det_int` a square matrix, `resultant_int` two
+ascending univariate coefficient lists (the samples of
+`resultant.resultant_interp`).  They run on `int` alone, and every
+division in them is exact.  Callers look these functions up as
 attributes of this module (kernels.mul_dicts), so a wrapper set on the
 module sees every call.
 """
@@ -80,3 +84,85 @@ def bareiss_det_int(rows: list) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def _exact(num: int, den: int) -> int:
+    quot, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"{num} is not a multiple of {den}")
+    return quot
+
+
+def resultant_int(f: list, g: list) -> int:
+    """Sylvester determinant of two ascending integer coefficient lists
+    of formal degrees m = len(f) - 1 and n = len(g) - 1, rows of f on
+    top, by the subresultant PRS (Collins 1967, Brown-Traub 1971; the
+    form of Cohen's Algorithm 3.3.7 without content removal).
+
+    A vanishing formal leading coefficient is removed first.  Expanding
+    the Sylvester determinant along its first column, whose only
+    nonzero entries are f_m (row 1) and g_n (row n + 1), gives
+    Res_{m,n} = f_m*Res_{m,n-1} if g_n = 0, and
+    Res_{m,n} = (-1)^n*g_n*Res_{m-1,n} if f_m = 0; if both vanish the
+    column is zero and so is the determinant.  Res_{m,0} = g_0^m and
+    Res_{0,n} = f_0^n (the matrix is diagonal).  If f_0 = g_0 = 0, the
+    last column is zero: x divides both, and the result is 0 without a
+    PRS (the structural zeros in f of the sweep pair).  With both leading
+    coefficients nonzero, Res(f, g) = (-1)^(mn)*Res(g, f) puts the
+    larger degree first, and the PRS runs in O(mn) integer operations:
+    each remainder is the pseudo-remainder of the last two divided by
+    lead*h^delta (lead the previous divisor's leading coefficient, h the
+    subresultant scale, delta the degree gap), each division exact (an
+    ArithmeticError otherwise).  A zero remainder before degree 0 means
+    a common factor, and the result is 0."""
+    m, n = len(f) - 1, len(g) - 1
+    scale = 1
+    while True:
+        if not n:
+            return scale * g[0] ** m
+        if not m:
+            return scale * f[0] ** n
+        if f[m] and g[n]:
+            break
+        if f[m]:
+            scale *= f[m]
+            n -= 1
+        elif g[n]:
+            scale *= -g[n] if n & 1 else g[n]
+            m -= 1
+        else:
+            return 0
+    if not (f[0] or g[0]):
+        return 0
+    a, b = f[m::-1], g[n::-1]  # descending, leading coefficient first
+    if m < n:
+        a, b = b, a
+        if m & n & 1:
+            scale = -scale
+    lead, h = 1, 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            scale = -scale
+        # pseudo-remainder lc(b)^(delta+1)*a mod b, in place on r
+        lc = b[0]
+        r = list(a)
+        for i in range(delta + 1):
+            q = r[i]
+            r[i + 1:i + 1 + db] = [lc * x - q * y
+                                   for x, y in zip(r[i + 1:i + 1 + db], b[1:])]
+            r[i + 1 + db:] = [lc * x for x in r[i + 1 + db:]]
+        r = r[delta + 1:]
+        top = next((i for i, x in enumerate(r) if x), len(r))
+        den = lead * h ** delta
+        a, b = b, [_exact(x, den) for x in r[top:]]
+        lead = a[0]
+        if delta:
+            h = _exact(lead ** delta, h ** (delta - 1))
+        if len(b) <= 1:
+            break
+    if not b:
+        return 0
+    da = len(a) - 1
+    return scale * _exact(b[0] ** da, h ** (da - 1))

@@ -2,12 +2,14 @@
 evaluation-interpolation paths) and subresultant-PRS gcd.
 
 Sign convention: the Sylvester determinant with the rows of the first
-argument on top.  Every determinant is taken on a Bezout-type matrix of
-size max(da, db), which has that determinant exactly (`_bezout_rows`);
-`sylvester` builds the Sylvester matrix itself.  Rational content of the
-inputs is cleared before the determinant and reapplied as
-leading-coefficient-power bookkeeping, so the returned value is exactly
-the textbook resultant of the inputs.
+argument on top.  The symbolic `resultant` takes the determinant of a
+Bezout-type matrix of size max(da, db), which has that determinant
+exactly (`_bezout_rows`); `resultant_interp` takes each integer sample
+by the subresultant PRS (`kernels.resultant_int`), which computes it
+for the formal degrees; `sylvester` builds the Sylvester matrix itself.
+Rational content of the inputs is cleared before the determinant and
+reapplied as leading-coefficient-power bookkeeping, so the returned
+value is exactly the textbook resultant of the inputs.
 """
 
 from __future__ import annotations
@@ -270,9 +272,9 @@ def _exponent_range(acols: list[list[int]],
 def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
                      deadline: float | None = None) -> MultiPoly:
     """resultant(a, b, var) for bivariate inputs, by evaluating the
-    spectator s at integers, taking integer determinants of the
-    Bezout-type matrix of size max(da, db) and interpolating in integers.
-    One extra sample is checked as a consistency guard.
+    spectator s at integers, taking each integer resultant by the
+    subresultant PRS (`kernels.resultant_int`) and interpolating in
+    integers.  One extra sample is checked as a consistency guard.
 
     Only exponents the resultant can hold are sampled.  Range: for the
     Sylvester matrix S, in det S = sum over permutations p of
@@ -295,16 +297,20 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     homogeneous) every entry is a monomial and lo = hi.  The samples
     t = 1, 2, ... thus give nodes x = t^step and values det / t^lo, an
     exact integer division, and (hi - lo) / step + 1 coefficients (one
-    if step = 0).  Every t is a valid sample: the determinant of the
-    Bezout-type matrix of the formal degrees equals that of the Sylvester
-    matrix of formal size da + db identically (`_bezout_rows`), so it is
+    if step = 0).  Every t is a valid sample: `kernels.resultant_int`
+    gets the coefficient lists of the formal degrees da, db and returns
+    the Sylvester determinant of formal size da + db, so the value is
     Res(t) also where a leading coefficient vanishes at t (Collins 1971).
+    Where one does, the kernel expands that determinant along its first
+    column: Res_{m,n} = f_m*Res_{m,n-1} when g_n = 0,
+    (-1)^n*g_n*Res_{m-1,n} when f_m = 0, and 0 when both vanish.
     Res has integer coefficients, so Newton interpolation at the integer
     nodes runs in integers with exact divisions.  A structural zero
     takes the guard sample alone, which must vanish.  For the sweep pair
-    in k at c = +-1 that is 42 coefficients and the guard, each an 11x11
-    determinant (Sylvester: 19x19); in f every case is a structural zero
-    (f divides H and K), one 12x12 determinant.
+    in k at c = +-1 that is 42 coefficients and the guard, each a
+    resultant of formal degrees 8 and 11; in f every case is a
+    structural zero (f divides H and K), one resultant of formal degrees
+    9 and 12 whose constant coefficients both vanish.
 
     deadline is an optional time.monotonic() timestamp; crossing it
     between samples raises ComputationTimeout."""
@@ -328,9 +334,6 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     acols = [int_coeffs(ce, spectator) for ce in prim_a.coefficients_in(var)]
     bcols = [int_coeffs(ce, spectator) for ce in prim_b.coefficients_in(var)]
     span = _exponent_range(acols, bcols)
-    if da < db:
-        acols, bcols = bcols, acols
-        factor *= (-1) ** (da * db)
     if span is None:
         low, count = 0, 0  # structural zero: only the guard sample
     else:
@@ -342,9 +345,10 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     for t in range(1, count + 2):  # count coefficients, +1 consistency guard
         if deadline is not None and time.monotonic() > deadline:
             raise ComputationTimeout("per-case deadline expired")
-        rows = _bezout_rows([horner(col, t) for col in acols],
-                            [horner(col, t) for col in bcols], 0)
-        value, rest = divmod(kernels.bareiss_det_int(rows), t ** low)
+        value, rest = divmod(
+            kernels.resultant_int([horner(col, t) for col in acols],
+                                  [horner(col, t) for col in bcols]),
+            t ** low)
         if rest:
             raise ArithmeticError(f"sample at {t} not divisible by {t}^{low}")
         xs.append(t ** step)

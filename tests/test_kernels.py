@@ -14,6 +14,7 @@ import resverify
 from resverify import kernels, ratio
 from resverify.kernels import ExponentOverflow
 from resverify.poly import GUARD_MASK, MAX_EXPONENT, MultiPoly
+from resverify.resultant import _sylvester_rows
 
 
 def test_backend_reported():
@@ -98,3 +99,113 @@ def test_exponent_overflow_raised():
     (key, coeff), = big._d.items()
     with pytest.raises(ExponentOverflow):
         kernels.addmul_term({}, coeff, key, big._d, GUARD_MASK)
+
+
+def _sylvester_det(f, g):
+    rows = _sylvester_rows(f, g, 0)
+    return kernels.bareiss_det_int(rows) if rows else 1  # empty matrix
+
+
+def _rand_formal(rng, lo=-9, hi=9):
+    """Ascending integer coefficients of formal degree 0..9, the leading
+    one zero in one draw out of five."""
+    f = [rng.randint(lo, hi) for _ in range(rng.randint(1, 10))]
+    if rng.random() < 0.2:
+        f[-1] = 0
+    return f
+
+
+def _convolve(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _remainder_degrees(f, g):
+    """Degrees of the Euclidean remainder sequence of f, g (actual
+    leading coefficients nonzero), over the rationals."""
+    a = [fractions.Fraction(x) for x in f]
+    b = [fractions.Fraction(x) for x in g]
+    degrees = [len(a) - 1, len(b) - 1]
+    while len(b) > 1:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for j, y in enumerate(b):
+                a[shift + j] -= q * y
+            a.pop()
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            break
+        a, b = b, a
+        degrees.append(len(b) - 1)
+    return degrees
+
+
+def test_resultant_int_is_the_sylvester_determinant(rng):
+    # sign included, also where a formal leading coefficient is 0; the
+    # small range makes common factors and degree drops in the remainder
+    # sequence common
+    for _ in range(1500):
+        lo, hi = (-2, 2) if rng.random() < 0.5 else (-99, 99)
+        f, g = _rand_formal(rng, lo, hi), _rand_formal(rng, lo, hi)
+        for a, b in ((f, g), (g, f)):
+            got = kernels.resultant_int(a, b)
+            # a float or a Fraction here would fail the type check
+            assert type(got) is int, (a, b)
+            assert got == _sylvester_det(a, b), (a, b)
+
+
+def test_resultant_int_formal_degree_drops():
+    # Res_{2,1}(x + 2, x - 3) with f_2 = 0: (-1)^1 * 1 * Res_{1,1}
+    assert kernels.resultant_int([2, 1, 0], [-3, 1]) == 5
+    # Res_{1,2}(x + 2, x - 3) with g_2 = 0: 1 * Res_{1,1}
+    assert kernels.resultant_int([2, 1], [-3, 1, 0]) == -5
+    assert kernels.resultant_int([2, 1, 0], [-3, 1, 0]) == 0
+    assert kernels.resultant_int([0, 0], [5, 3]) == 0
+    assert kernels.resultant_int([7], [5, 3, 1]) == 49
+    assert kernels.resultant_int([4, 0, 1], [3]) == 9
+    assert kernels.resultant_int([0], [0]) == 1
+    # both constant coefficients 0: the last column is zero
+    assert kernels.resultant_int([0, 1, 3], [0, 2]) == 0
+    assert kernels.resultant_int([0, 1, 0], [0, 2, 5]) == 0
+
+
+def test_resultant_int_planted_common_factor(rng):
+    for _ in range(300):
+        h = _rand_formal(rng)
+        h = h[:-1] + [h[-1] or 1]
+        if len(h) == 1:
+            h.append(rng.choice((-1, 1)))
+        f = _convolve(h, _rand_formal(rng))
+        g = _convolve(h, _rand_formal(rng))
+        assert kernels.resultant_int(f, g) == 0, (f, g)
+
+
+@pytest.mark.parametrize("f,g", [
+    ([1, 0, 0, 0, 1], [0, 0, 0, 1]),           # degrees 4, 3, 0
+    ([3, 0, 2, 0, 0, 0, 1], [1, 0, 0, 0, 1]),  # 6, 4, 2, 0
+    ([5, 0, 2, 0, 0, 0, 3], [7, 0, 0, 0, 2]),  # 6, 4, 2, 0
+    ([1, 2, 0, 0, 0, 0, 0, 3], [1, 0, 0, 0, 0, 2]),  # 7, 5, 2, 1, 0
+    ([-2, 1, 0, 0, 0, 0, 0, 0, 1], [1, 3, 0, 0, 0, 0, 1]),  # 8, 6, 3, 2, 1, 0
+    # (x^2 + 1)(x^4 + 3) and (x^2 + 1)x^2: 6, 4, 2, then remainder 0
+    ([3, 0, 3, 0, 1, 0, 1], [0, 0, 1, 0, 1]),
+])
+def test_resultant_int_abnormal_prs(f, g):
+    # the remainder sequence skips a degree after the first step
+    # (delta >= 2), where the PRS divides by h^(delta-1)
+    degrees = _remainder_degrees(f, g)
+    assert any(x - y >= 2 for x, y in zip(degrees[1:], degrees[2:])), degrees
+    for a, b in ((f, g), (g, f)):
+        assert kernels.resultant_int(a, b) == _sylvester_det(a, b), (a, b)
+    assert (kernels.resultant_int(f, g) == 0) == (degrees[-1] > 0)
+
+
+def test_resultant_int_is_multiplicative(rng):
+    for _ in range(300):
+        f1, f2, g = (_rand_formal(rng) for _ in range(3))
+        assert kernels.resultant_int(_convolve(f1, f2), g) == \
+            kernels.resultant_int(f1, g) * kernels.resultant_int(f2, g)

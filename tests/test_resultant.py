@@ -246,15 +246,16 @@ class TestInterpPath:
 
 @pytest.fixture
 def det_calls(monkeypatch):
-    """Counts the integer determinants (interpolation samples) taken."""
+    """Records the formal degrees of each integer resultant
+    (interpolation sample) taken."""
     calls = []
-    inner = kernels.bareiss_det_int
+    inner = kernels.resultant_int
 
-    def counting(rows):
-        calls.append(len(rows))
-        return inner(rows)
+    def counting(f, g):
+        calls.append((len(f) - 1, len(g) - 1))
+        return inner(f, g)
 
-    monkeypatch.setattr(kernels, "bareiss_det_int", counting)
+    monkeypatch.setattr(kernels, "resultant_int", counting)
     return calls
 
 
@@ -281,8 +282,8 @@ class TestSampleBound:
     ])
     def test_vanishing_leading_coefficients(self, det_calls, a, b):
         # the k-leading coefficients vanish at the samples f = 1 and f = 2,
-        # where the determinant of formal size still gives Res, in either
-        # argument order (the Bezout matrix swaps them when da < db)
+        # where the resultant of the formal degrees still gives Res, in
+        # either argument order (the kernel swaps them when da < db)
         for t in (1, 2):
             assert any(p.coefficient("k", p.degree("k")).substitute("f", t)
                        .is_zero() for p in (a, b))
@@ -340,18 +341,18 @@ class TestSampleBound:
     def test_sweep_case_sample_counts(self, det_calls):
         # the matchings give f-exponents 25..107 with stride 2 at c = +-1
         # (42 coefficients and the guard); only f^107 at c = 0.  Each
-        # determinant is 11x11 in k (H has k-degree 8, K 11) and 12x12 in
-        # f (degrees 12 and 9)
+        # sample has the formal degrees of H and K: 8 and 11 in k, 9
+        # and 12 in f
         run_case(15, 8, 0, "k")
-        assert det_calls == [11] * 2
+        assert det_calls == [(8, 11)] * 2
         del det_calls[:]
         run_case(15, 8, 1, "k")
-        assert det_calls == [11] * 43
+        assert det_calls == [(8, 11)] * 43
         # f divides H and K: a structural zero, the guard sample alone
         for params in ((15, 8, 1), (4, 2, 0), (7, 4, -1)):
             del det_calls[:]
             assert run_case(*params, "f").zero
-            assert det_calls == [12]
+            assert det_calls == [(9, 12)]
 
     @pytest.mark.parametrize("cc", [1, -1])
     def test_conic_zero_is_sampled(self, det_calls, cc):

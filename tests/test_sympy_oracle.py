@@ -5,8 +5,10 @@ sympy is not installed."""
 import pytest
 from conftest import SHAPES, rand_nonzero, rand_poly, rand_shaped_pair
 
+from resverify import kernels
 from resverify.catalog import build_core
-from resverify.poly import VAR_NAMES, gcd, pseudo_division, variables
+from resverify.poly import (VAR_NAMES, gcd, horner, int_coeffs,
+                            pseudo_division, variables)
 from resverify.ratio import Rat
 from resverify.resultant import resultant, resultant_interp
 
@@ -99,6 +101,28 @@ def test_sweep_pair_matches_sympy(var, params, is_zero):
     got = resultant_interp(core.H, core.K, var, spectator)
     assert got.is_zero() == is_zero
     assert same(got, _sympy_resultant(core.H, core.K, var))
+
+
+@pytest.mark.parametrize("params,is_zero", [((15, 8, 1), False),
+                                             ((7, 4, 1), True)])
+def test_resultant_int_matches_sympy_on_sweep_samples(params, is_zero):
+    # the integer samples resultant_interp takes in k at f = t
+    core = build_core(params)
+    k = SYMS[VAR_NAMES.index("k")]
+    for t in (1, 2, 3):
+        a, b = ([horner(int_coeffs(ce, "f"), t)
+                 for ce in p.primitive()[1].coefficients_in("k")]
+                for p in (core.H, core.K))
+        # no leading coefficient vanishes, so sympy sees the formal degrees
+        assert a[-1] and b[-1]
+        da, db = len(a) - 1, len(b) - 1
+        assert da < db
+        want = ((-1) ** (da * db)
+                * sympy.resultant(sum(co * k ** i for i, co in enumerate(b)),
+                                  sum(co * k ** i for i, co in enumerate(a)), k))
+        got = kernels.resultant_int(a, b)
+        assert got == want
+        assert (got == 0) == is_zero
 
 
 def test_gcd_matches_sympy_randomized(rng):
