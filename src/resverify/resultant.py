@@ -301,9 +301,6 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     gets the coefficient lists of the formal degrees da, db and returns
     the Sylvester determinant of formal size da + db, so the value is
     Res(t) also where a leading coefficient vanishes at t (Collins 1971).
-    Where one does, the kernel expands that determinant along its first
-    column: Res_{m,n} = f_m*Res_{m,n-1} when g_n = 0,
-    (-1)^n*g_n*Res_{m-1,n} when f_m = 0, and 0 when both vanish.
     Res has integer coefficients, so Newton interpolation at the integer
     nodes runs in integers with exact divisions.  A structural zero
     takes the guard sample alone, which must vanish.  For the sweep pair
