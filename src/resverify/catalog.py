@@ -13,11 +13,13 @@ is constructed here from those entries.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
+from . import kernels
 from .parser import Manifest, load_manifest, parse
-from .poly import VAR_INDEX, VAR_NAMES, MultiPoly, horner, int_coeffs
-from .ratio import Rat
+from .poly import (GUARD_MASK, VAR_INDEX, VAR_NAMES, MultiPoly, add_dicts,
+                   diff_dict, horner, int_coeffs, subst_dict)
 
 MANIFEST_TEXT = """\
 # elimination sources (the coefficients of the two first-order unknowns)
@@ -86,7 +88,8 @@ kfelimden := alpha*beta
 
 
 class InvalidParameters(ValueError):
-    """Specialization outside m >= 4, 2 <= r <= m-1, c in {-1, 0, 1, None}."""
+    """Specialization (m, r, c) other than int m >= 4, int 2 <= r <= m-1
+    and c in {-1, 0, 1, None}; bool is not taken for int."""
 
 
 class DegreeTooLow(ValueError):
@@ -157,6 +160,21 @@ def res_special_value(rr: int, cc: int) -> int:
     return value
 
 
+@lru_cache(maxsize=1)
+def _cleared_core() -> tuple[dict, int, dict, dict, int]:
+    """(hgen, d_h, num, den, d_f): Hgen = hgen/d_h, NumDerF = num/d_f
+    and DenDerF = den/d_f with integer raw dicts hgen, num and den.
+    Filled by the first build_core, never at import or by manifest()."""
+    man = manifest()
+    hgen, d_h = man["Hgen"].cleared()
+    num, d_num = man["NumDerF"].cleared()
+    den, d_den = man["DenDerF"].cleared()
+    d_f = math.lcm(d_num, d_den)
+    num = {key: co * (d_f // d_num) for key, co in num.items()}
+    den = {key: co * (d_f // d_den) for key, co in den.items()}
+    return hgen, d_h, num, den, d_f
+
+
 class CoreCatalog:
     """The sweep polynomials H and K for one parameter mode.
 
@@ -164,6 +182,10 @@ class CoreCatalog:
     (m-r)-cleared polynomial Hgen = (m-r)*H.  A specialization (m, r, c)
     substitutes the integers and divides (m - r) back out, so H and K
     carry the exact rational coefficients; c None keeps c symbolic.
+    The pair is built in integers: the cleared Hgen, NumDerF and
+    DenDerF (_cleared_core) take all parameter values in one subst_dict
+    pass, K = H_f*NumDerF + H_k*DenDerF is formed by integer products,
+    and each result is divided by its denominator into Rat once.
     """
 
     def __init__(self, params: tuple[int, int, int | None] | None = None):
@@ -171,29 +193,30 @@ class CoreCatalog:
         scale = 1
         if params is not None:
             m0, r0, c0 = params
-            if not (isinstance(m0, int) and isinstance(r0, int)
+            if not (type(m0) is int and type(r0) is int
+                    and (c0 is None or type(c0) is int)
                     and m0 >= 4 and 2 <= r0 <= m0 - 1
                     and c0 in (-1, 0, 1, None)):
                 raise InvalidParameters(f"bad specialization {params}")
-            # r first: a substitution is a Horner pass over the
-            # coefficients in that variable, 6 for Hgen in r against 13
-            # in m, and either leaves about 140 terms; they commute
-            self._values = (("r", r0), ("m", m0)) + (
+            self._values = (("m", m0), ("r", r0)) + (
                 () if c0 is None else (("c", c0),))
-            scale = Rat(1, m0 - r0)
-        man = manifest()
-        self.num_derf = self.specialize(man["NumDerF"])
-        self.den_derf = self.specialize(man["DenDerF"])
-        self.H = self.specialize(man["Hgen"]) * scale
-        self.K = (self.H.derivative("f") * self.num_derf
-                  + self.H.derivative("k") * self.den_derf)
+            scale = m0 - r0
+        hgen, d_h, num, den, d_f = _cleared_core()
+        h = subst_dict(hgen, self._values)
+        num = subst_dict(num, self._values)
+        den = subst_dict(den, self._values)
+        k = add_dicts(kernels.mul_dicts(diff_dict(h, "f"), num, GUARD_MASK),
+                      kernels.mul_dicts(diff_dict(h, "k"), den, GUARD_MASK))
+        self.num_derf = MultiPoly.from_cleared(num, d_f)
+        self.den_derf = MultiPoly.from_cleared(den, d_f)
+        self.H = MultiPoly.from_cleared(h, d_h * scale)
+        self.K = MultiPoly.from_cleared(k, d_h * scale * d_f)
 
     def specialize(self, p: MultiPoly) -> MultiPoly:
-        """p at this catalog's parameter values; the identity in generic
-        mode."""
-        for name, value in self._values:
-            p = p.substitute(name, value)
-        return p
+        """p at this catalog's parameter values, by one integer
+        subst_dict pass; the identity in generic mode."""
+        nums, den = p.cleared()
+        return MultiPoly.from_cleared(subst_dict(nums, self._values), den)
 
     @property
     def new_h(self) -> MultiPoly:

@@ -199,20 +199,7 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._d, other._d
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for key, coeff in b.items():
-            if key in out:
-                cc = out[key] + coeff
-                if cc:
-                    out[key] = cc
-                else:
-                    del out[key]
-            else:
-                out[key] = coeff
-        return MultiPoly._raw(out)
+        return MultiPoly._raw(add_dicts(self._d, other._d))
 
     __radd__ = __add__
 
@@ -279,7 +266,11 @@ class MultiPoly:
         return [MultiPoly._raw(b) for b in buckets]
 
     def substitute(self, name: str, value) -> "MultiPoly":
-        """Replace a variable by a polynomial (or rational), expanded."""
+        """Replace a variable by a value, expanded: a number (int or Rat)
+        in one pass by subst_dict, a polynomial or rational function by
+        Horner over the coefficients in that variable."""
+        if isinstance(value, (int, Rat)):
+            return MultiPoly._raw(subst_dict(self._d, ((name, value),)))
         coeffs = self.coefficients_in(name)
         return horner(coeffs, value) if coeffs else self
 
@@ -288,28 +279,12 @@ class MultiPoly:
         missing = self.vars_used() - set(assignment)
         if missing:
             raise MissingAssignment(f"no value for {sorted(missing)}")
-        vals = {VAR_INDEX[name]: Rat(v) for name, v in assignment.items()
-                if name in VAR_INDEX}
-        total = RAT_ZERO
-        for key, coeff in self._d.items():
-            term = coeff
-            for i, sh in enumerate(_SHIFTS):
-                e = (key >> sh) & _FIELD_MASK
-                if e:
-                    term = term * vals[i] ** e
-            total += term
-        return total
+        values = [(name, Rat(v)) for name, v in assignment.items()
+                  if name in VAR_INDEX]
+        return subst_dict(self._d, values).get(0, RAT_ZERO)
 
     def derivative(self, name: str) -> "MultiPoly":
-        i = _check_var(name)
-        sh = _SHIFTS[i]
-        step = (1 << sh) | (1 << _DEG_SHIFT)
-        out = {}
-        for key, coeff in self._d.items():
-            e = (key >> sh) & _FIELD_MASK
-            if e:
-                out[key - step] = coeff * e
-        return MultiPoly._raw(out)
+        return MultiPoly._raw(diff_dict(self._d, name))
 
     def exact_div(self, b: "MultiPoly") -> "MultiPoly":
         """Exact quotient self / b; raises InexactDivision otherwise."""
@@ -355,20 +330,24 @@ class MultiPoly:
         coefficients and positive leading coefficient; p must be nonzero."""
         if not self._d:
             raise ValueError("zero polynomial has no primitive part")
-        den_lcm = 1
-        for coeff in self._d.values():
-            d = coeff.denominator
-            den_lcm = den_lcm * d // math.gcd(den_lcm, d)
-        num_gcd = 0
-        for coeff in self._d.values():
-            num_gcd = math.gcd(num_gcd, coeff.numerator * (den_lcm // coeff.denominator))
-            if num_gcd == 1:
-                break
-        content = Rat(num_gcd, den_lcm)
+        nums, den = self.cleared()
+        g = math.gcd(*nums.values())
         if self.leading_coefficient() < 0:
-            content = -content
-        inv = RAT_ONE / content
-        return content, MultiPoly._raw({k: v * inv for k, v in self._d.items()})
+            g = -g
+        return Rat(g, den), MultiPoly._raw({k: Rat(v // g) for k, v in nums.items()})
+
+    def cleared(self) -> tuple[dict, int]:
+        """(nums, den): the raw key -> int dict and the lcm of the
+        coefficient denominators, with self == from_cleared(nums, den)."""
+        den = math.lcm(*(v.denominator for v in self._d.values()))
+        return {k: v.numerator * (den // v.denominator)
+                for k, v in self._d.items()}, den
+
+    @classmethod
+    def from_cleared(cls, nums: dict, den: int) -> "MultiPoly":
+        """nums / den for a raw key -> int dict without zero values; the
+        one division of an integer computation back into Rat."""
+        return cls._raw({k: Rat(v, den) for k, v in nums.items()})
 
     def __str__(self) -> str:
         from .parser import format_poly
@@ -389,6 +368,79 @@ def _coerce(value):
 def variables() -> dict[str, MultiPoly]:
     """Fresh degree-one polynomials for every registry variable."""
     return {name: MultiPoly.var(name) for name in VAR_NAMES}
+
+
+def add_dicts(a: dict, b: dict) -> dict:
+    """Sum of two raw key -> coeff dicts."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for key, coeff in b.items():
+        if key in out:
+            cc = out[key] + coeff
+            if cc:
+                out[key] = cc
+            else:
+                del out[key]
+        else:
+            out[key] = coeff
+    return out
+
+
+def diff_dict(d: dict, name: str) -> dict:
+    """Derivative of a raw key -> coeff dict in one variable."""
+    sh = _SHIFTS[_check_var(name)]
+    step = (1 << sh) | (1 << _DEG_SHIFT)
+    out = {}
+    for key, coeff in d.items():
+        e = (key >> sh) & _FIELD_MASK
+        if e:
+            out[key - step] = coeff * e
+    return out
+
+
+def subst_dict(d: dict, values) -> dict:
+    """A raw key -> coeff dict with each (name, value) pair of values
+    substituted, in one pass over the keys.  Each distinct monomial in
+    the substituted variables is valued once from per-variable power
+    tables; a term's coefficient is multiplied by its monomial's value,
+    the variables leave its key, and equal keys merge.  Coefficients
+    and values are int or Rat; int with int stays int."""
+    fields = [_SHIFTS[_check_var(name)] for name, _ in values]
+    mask = 0
+    for sh in fields:
+        mask |= _FIELD_MASK << sh
+    subs = {key & mask for key in d}
+    tables = []
+    for sh, (_, value) in zip(fields, values):
+        powers = [1]
+        for _ in range(max(((sub >> sh) & _FIELD_MASK for sub in subs), default=0)):
+            powers.append(powers[-1] * value)
+        tables.append((sh, powers))
+    monomials = {}
+    for sub in subs:
+        factor, total = 1, 0
+        for sh, powers in tables:
+            e = (sub >> sh) & _FIELD_MASK
+            factor *= powers[e]
+            total += e
+        monomials[sub] = (factor, sub | (total << _DEG_SHIFT))
+    out = {}
+    for key, coeff in d.items():
+        factor, strip = monomials[key & mask]
+        coeff *= factor
+        if not coeff:
+            continue
+        key -= strip
+        if key in out:
+            cc = out[key] + coeff
+            if cc:
+                out[key] = cc
+            else:
+                del out[key]
+        else:
+            out[key] = coeff
+    return out
 
 
 def horner(coeffs, x):

@@ -35,14 +35,19 @@ class SweepConfig:
     def validate(self) -> None:
         if self.var not in ("k", "f"):
             raise UsageError("elimination variable must be k or f")
-        if not (4 <= self.m_lo <= self.m_hi <= M_HARD_MAX):
-            raise UsageError(f"m range must satisfy 4 <= lo <= hi <= {M_HARD_MAX}")
-        if not self.c_list or any(cc not in (-1, 0, 1) for cc in self.c_list):
-            raise UsageError("c values must come from {-1, 0, 1}")
+        # bool is an int subclass and 1.0 == 1: both must be refused
+        if not (type(self.m_lo) is int and type(self.m_hi) is int
+                and 4 <= self.m_lo <= self.m_hi <= M_HARD_MAX):
+            raise UsageError(f"m range must be integers 4 <= lo <= hi <= {M_HARD_MAX}")
+        if not self.c_list or any(type(cc) is not int or cc not in (-1, 0, 1)
+                                  for cc in self.c_list):
+            raise UsageError("c values must be integers from {-1, 0, 1}")
         if self.r_list is not None and not self.r_list:
             raise UsageError("empty r list")
-        if self.jobs < 1:
-            raise UsageError("jobs must be >= 1")
+        if self.r_list is not None and any(type(rr) is not int for rr in self.r_list):
+            raise UsageError("r values must be integers")
+        if type(self.jobs) is not int or self.jobs < 1:
+            raise UsageError("jobs must be an integer >= 1")
         if not self.case_timeout >= 0:
             raise UsageError("case timeout must be >= 0 seconds")
 

@@ -120,6 +120,22 @@ def ref_diff(a: dict, name: str) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def ref_subst(a: dict, values: dict) -> dict:
+    """Substitute numbers for some variables (name -> value), term by
+    term; the substituted exponents become 0."""
+    out = {}
+    for key, co in a.items():
+        term = Fraction(co)
+        exps = list(key)
+        for name, value in values.items():
+            i = VAR_NAMES.index(name)
+            term *= Fraction(value) ** exps[i]
+            exps[i] = 0
+        nk = tuple(exps)
+        out[nk] = out.get(nk, 0) + term
+    return {k: v for k, v in out.items() if v}
+
+
 def ref_eval(a: dict, assignment: dict) -> Fraction:
     total = Fraction(0)
     for key, co in a.items():

@@ -1,11 +1,19 @@
 """Catalog construction: manifest reconstruction, the sweep polynomials
 and their structure, the reduced z-polynomials, and closed forms."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from conftest import ref_add, ref_diff, ref_eval, ref_from_multipoly, ref_mul, ref_scale
+from conftest import (ref_add, ref_diff, ref_eval, ref_from_multipoly, ref_mul,
+                      ref_scale, ref_subst)
 
+import resverify
+from resverify import kernels
 from resverify.catalog import (DegreeTooLow, InvalidParameters, build_core,
                                dominant_coef_value, manifest, reduce_to_z,
                                res_special_value)
@@ -56,7 +64,11 @@ class TestManifest:
 
 class TestBuildCore:
     def test_invalid_parameters(self):
-        for bad in ((3, 2, 1), (7, 1, 1), (7, 7, 1), (7, 4, 2), (7, 4, 5)):
+        # 1.0 == 1 and True == 1, so only the type tells those apart
+        for bad in ((3, 2, 1), (7, 1, 1), (7, 7, 1), (7, 4, 2), (7, 4, 5),
+                    (5, 3, 1.0), (5, 3, True),
+                    (5, 3, False), (5.0, 3, 1), (5, 3.0, 1), (5, True, 1),
+                    (5, 3, Fraction(1)), (None, 3, 1)):
             with pytest.raises(InvalidParameters):
                 build_core(bad)
 
@@ -136,6 +148,85 @@ class TestBuildCore:
         assert want == Fraction(-37311468532734375, 16)
         core = build_core((5, 3, 1))
         assert core.K.evaluate(at) == Rat(want.numerator, want.denominator)
+
+
+def _ref_core(params):
+    """(H, K, NumDerF, DenDerF) of a sweep case rebuilt from the
+    manifest entries with the tuple-keyed Fraction reference."""
+    man = manifest()
+    values, scale = {}, Fraction(1)
+    if params is not None:
+        mm, rr, cc = params
+        values = {"m": mm, "r": rr} if cc is None else {"m": mm, "r": rr, "c": cc}
+        scale = Fraction(1, mm - rr)
+    num, den = (ref_subst(ref_from_multipoly(man[name]), values)
+                for name in ("NumDerF", "DenDerF"))
+    h = ref_scale(ref_subst(ref_from_multipoly(man["Hgen"]), values), scale)
+    k = ref_add(ref_mul(ref_diff(h, "f"), num), ref_mul(ref_diff(h, "k"), den))
+    return h, k, num, den
+
+
+def _seeded_cases(n=30, seed=20241018):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        mm = rng.randint(4, 30)
+        cases.append((mm, rng.randint(2, mm - 1), rng.choice((-1, 0, 1, None))))
+    return cases
+
+
+class TestIntegerBuild:
+    """build_core against an independent reference: the same H, K,
+    num_derf and den_derf term by term, every coefficient a Fraction."""
+
+    @pytest.mark.parametrize("params", [None, (7, 4, None), (4, 2, 0),
+                                        (30, 29, 1), (30, 29, -1)]
+                             + _seeded_cases())
+    def test_matches_reference(self, params):
+        core = build_core(params)
+        got = (core.H, core.K, core.num_derf, core.den_derf)
+        for poly, want in zip(got, _ref_core(params)):
+            terms = dict(poly.terms())
+            assert all(type(co) is Fraction for co in terms.values())
+            assert terms == want
+
+    def test_specialize_matches_reference(self):
+        man = manifest()
+        for params in ((7, 4, None), (7, 4, 0), (9, 5, -1)):
+            mm, rr, cc = params
+            values = {"m": mm, "r": rr} if cc is None else {"m": mm, "r": rr, "c": cc}
+            for name in ("P", "R2", "conic2", "lead9"):
+                got = dict(build_core(params).specialize(man[name]).terms())
+                assert all(type(co) is Fraction for co in got.values())
+                assert got == ref_subst(ref_from_multipoly(man[name]), values)
+
+    def test_products_run_on_int(self, monkeypatch):
+        seen = []
+        real = kernels.mul_dicts
+
+        def spy(a, b, guard):
+            seen.extend(type(co) for co in a.values())
+            seen.extend(type(co) for co in b.values())
+            return real(a, b, guard)
+
+        build_core((5, 3, 1))  # fill the manifest and cleared-entry caches
+        monkeypatch.setattr(kernels, "mul_dicts", spy)
+        build_core((15, 8, 1))
+        assert seen and set(seen) == {int}
+
+    def test_manifest_leaves_cleared_cache_empty(self):
+        # the integer entries are cleared on the first build_core, never
+        # at import or by manifest(), so the setup cost does not grow
+        src = str(Path(resverify.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import resverify\n"
+                "from resverify import catalog\n"
+                "catalog.manifest()\n"
+                "print(catalog._cleared_core.cache_info().currsize)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0"
 
 
 class TestFpRewrite:

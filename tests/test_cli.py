@@ -23,6 +23,12 @@ class TestSweep:
             run_sweep(SweepConfig(c_list=(2,)))
         with pytest.raises(UsageError):
             run_sweep(SweepConfig(case_timeout=-1))
+        # 1.0 == 1 and True == 1 pass a value check and then fail in the
+        # workers, so validate() refuses them by type
+        for bad in ({"c_list": (1.0,)}, {"c_list": (True,)}, {"m_lo": 4.0},
+                    {"m_hi": 5.5}, {"r_list": (2.0,)}, {"jobs": 1.0}):
+            with pytest.raises(UsageError):
+                SweepConfig(**bad).validate()
 
     def test_case_enumeration_sorted(self):
         cfg = SweepConfig(m_lo=4, m_hi=5, c_list=(1, -1))

@@ -2,12 +2,14 @@
 gcd, and rational functions."""
 
 import pytest
+from fractions import Fraction
+
 from conftest import (rand_nonzero, rand_poly, ref_eval, ref_from_multipoly,
-                      ref_mul, ref_to_multipoly)
+                      ref_mul, ref_subst, ref_to_multipoly)
 
 from resverify.poly import (MAX_EXPONENT, ExponentOverflow, InexactDivision,
                             MissingAssignment, MultiPoly, RatFun, ZeroDivisor,
-                            gcd, horner, pseudo_division, variables)
+                            gcd, horner, pseudo_division, subst_dict, variables)
 from resverify.ratio import Rat
 
 V = variables()
@@ -128,6 +130,36 @@ class TestSubstitute:
             lhs = p.substitute("f", q).evaluate(at)
             rhs = p.evaluate({"f": q.evaluate(at), **at})
             assert lhs == rhs
+
+
+    def test_number_matches_reference(self, rng):
+        names = ("f", "m", "r", "c")
+        for _ in range(200):
+            p = rand_poly(rng, names=names) * Rat(rng.randint(1, 5), rng.randint(1, 5))
+            name = rng.choice(names[1:])
+            value = rng.choice((rng.randint(-3, 3), Rat(rng.randint(-3, 3), 7)))
+            got = dict(p.substitute(name, value).terms())
+            assert all(type(co) is Fraction for co in got.values())
+            assert got == ref_subst(ref_from_multipoly(p), {name: value})
+
+    def test_subst_dict_one_pass_in_int(self, rng):
+        for _ in range(200):
+            p = rand_poly(rng, names=("f", "m", "r", "c"))
+            nums, den = p.cleared()
+            values = {"m": rng.randint(-5, 5), "r": rng.randint(-5, 5),
+                      "c": rng.randint(-1, 1)}
+            out = subst_dict(nums, tuple(values.items()))
+            assert all(type(co) is int and co for co in out.values())
+            assert dict(MultiPoly.from_cleared(out, den).terms()) == \
+                ref_subst(ref_from_multipoly(p), values)
+
+    def test_cleared_roundtrip(self, rng):
+        for _ in range(100):
+            p = rand_poly(rng) * Rat(rng.randint(-5, 5), rng.randint(1, 9))
+            nums, den = p.cleared()
+            assert all(type(co) is int for co in nums.values())
+            assert type(den) is int and den >= 1
+            assert MultiPoly.from_cleared(nums, den) == p
 
 
 class TestCoefficientDerivative:
