@@ -1,7 +1,7 @@
 """verify: command-line harness for the sweeps and named checks.
 
 Exit codes: 0 all pass, 1 mathematical mismatch, 2 usage error,
-3 timeout or internal error.
+3 timeout, failed sweep case or internal error.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def cmd_sweep(args) -> int:
         print(json.dumps(report_to_dict(report, stable=args.stable_output)))
     else:
         print(report_to_text(report, stable=args.stable_output))
-    if report.timed_out:
+    if report.timed_out or report.failed:
         return EXIT_INTERNAL
     ok = report.exceptions == expected_exceptions(config)
     return EXIT_OK if ok else EXIT_MISMATCH

@@ -4,7 +4,9 @@ evaluation-interpolation paths) and subresultant-PRS gcd.
 Sign convention: the Sylvester determinant with the rows of the first
 argument on top.  The symbolic `resultant` takes the determinant of a
 Bezout-type matrix of size max(da, db), which has that determinant
-exactly (`_bezout_rows`); `resultant_interp` takes each integer sample
+exactly (`_bezout_rows`); `resultant_interp` samples the inputs, or their
+dehomogenisation, at small integer nodes over an exponent range read
+off the Newton polygons of the columns, and takes each integer sample
 by the subresultant PRS (`kernels.resultant_int`), which computes it
 for the formal degrees; `sylvester` builds the Sylvester matrix itself.
 Rational content of the inputs is cleared before the determinant and
@@ -19,7 +21,8 @@ import time
 from dataclasses import dataclass
 
 from . import kernels
-from .poly import MultiPoly, _content_in, _prs_gcd, horner, int_coeffs
+from .poly import (VAR_INDEX, MultiPoly, _content_in, _prs_gcd, decode_key,
+                   horner)
 from .ratio import Rat
 
 
@@ -200,112 +203,156 @@ def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:
     return coeffs
 
 
-def _assignment(cost: list[list[int | None]]) -> int | None:
-    """Least total of cost[i][p(i)] over the permutations p that avoid
-    the None entries, or None when every permutation meets one (then the
-    non-None entries admit no perfect matching).  Kuhn's Hungarian
-    method with row and column potentials, O(n^3)."""
-    n = len(cost)
-    inf = math.inf
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    owner = [0] * (n + 1)  # owner[j]: the row matched to column j, 0 free
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        owner[0] = i
-        j0 = 0
-        slack = [inf] * (n + 1)
-        used = [False] * (n + 1)
-        while owner[j0]:
-            used[j0] = True
-            i0 = owner[j0]
-            row = cost[i0 - 1]
-            delta, j1 = inf, 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                c = row[j - 1]
-                if c is not None and c - u[i0] - v[j] < slack[j]:
-                    slack[j] = c - u[i0] - v[j]
-                    way[j] = j0
-                if slack[j] < delta:
-                    delta, j1 = slack[j], j
-            if not j1:
-                # the rows reached so far meet fewer columns than their
-                # number: Frobenius-Koenig
-                return None
-            for j in range(n + 1):
-                if used[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    slack[j] -= delta
-            j0 = j1
-        while j0:
-            j1 = way[j0]
-            owner[j0] = owner[j1]
-            j0 = j1
-    return sum(cost[owner[j] - 1][j - 1] for j in range(1, n + 1))
+def _hull(ends: list) -> tuple[int, list[tuple[int, int]]]:
+    """(z, segments) for a polynomial in v whose column i (the
+    coefficient of v^i) has the exponent ends[i], None for a zero column:
+    z is the index of the first nonzero column, the number of roots
+    v = 0, and each segment (p, drop) of the upper hull of the points
+    (i, ends[i]) holds p roots of valuation drop / p."""
+    hull: list[tuple[int, int]] = []
+    for i, e in enumerate(ends):
+        if e is None:
+            continue
+        while len(hull) > 1:
+            (i0, e0), (i1, e1) = hull[-2], hull[-1]
+            if (e1 - e0) * (i - i0) > (e - e0) * (i1 - i0):
+                break  # hull[-1] lies above the chord to (i, e)
+            hull.pop()
+        hull.append((i, e))
+    return hull[0][0], [(i1 - i0, e0 - e1)
+                        for (i0, e0), (i1, e1) in zip(hull, hull[1:])]
 
 
-def _exponent_range(acols: list[list[int]],
-                    bcols: list[list[int]]) -> tuple[int, int] | None:
+def _degree_bound(a: list, b: list) -> int | None:
+    """Upper bound on the degree of the Sylvester determinant of formal
+    degrees len(a) - 1, len(b) - 1 whose columns have the degrees a[i],
+    b[j] (None for a zero column); None when both leading or both
+    constant columns are zero, so that it is identically zero.  The
+    proof is in `resultant_interp`."""
+    m, n = len(a) - 1, len(b) - 1
+    acc = 0
+    while m and n:  # strip zero formal leading columns
+        if a[m] is not None and b[n] is not None:
+            break
+        if a[m] is not None:  # Res_{m,n} = a_m*Res_{m,n-1}
+            acc += a[m]
+            n -= 1
+        elif b[n] is not None:  # Res_{m,n} = (-1)^n*b_n*Res_{m-1,n}
+            acc += b[n]
+            m -= 1
+        else:
+            return None
+    if not n:
+        return acc + m * b[0]
+    if not m:
+        return acc + n * a[0]
+    (za, seg_a), (zb, seg_b) = _hull(a[:m + 1]), _hull(b[:n + 1])
+    if za and zb:
+        return None  # v divides both
+    acc += n * a[m] + m * b[n]
+    acc += za * sum(d for _, d in seg_b) + zb * sum(d for _, d in seg_a)
+    for p, dp in seg_a:
+        for q, dq in seg_b:
+            # p*q root pairs, each of valuation max(dp/p, dq/q)
+            acc += q * dp if dp * q >= dq * p else p * dq
+    return acc
+
+
+def _newton_range(acols: list[list[int]],
+                  bcols: list[list[int]]) -> tuple[int, int] | None:
     """(lo, hi) with lo <= ord_s det <= deg_s det <= hi for the Sylvester
-    matrix whose entries are the polynomials in s with the ascending
-    coefficient lists acols and bcols, read off the entries' lowest and
-    highest exponents by optimal matching; None when the nonzero entries
-    admit no perfect matching, so that det is identically zero."""
+    determinant of formal degrees len(acols) - 1, len(bcols) - 1 of the
+    polynomials in v whose coefficients of v^i (the columns) have the
+    ascending coefficient lists acols[i] and bcols[i] in s; None when
+    both leading or both constant columns are zero, so that det is
+    identically zero.  The order bound is the degree bound of the
+    columns at s -> 1/s: negated orders."""
     def ends(cols):
         nonzero = [[e for e, co in enumerate(col) if co] for col in cols]
-        return ([e[0] if e else None for e in nonzero],
-                [e[-1] if e else None for e in nonzero])
+        return ([e[-1] if e else None for e in nonzero],
+                [-e[0] if e else None for e in nonzero])
 
-    (lo_a, hi_a), (lo_b, hi_b) = ends(acols), ends(bcols)
-    neg_hi = [[None if e is None else -e for e in row]
-              for row in _sylvester_rows(hi_a, hi_b, None)]
-    top = _assignment(neg_hi)
-    if top is None:
+    (deg_a, neg_a), (deg_b, neg_b) = ends(acols), ends(bcols)
+    hi = _degree_bound(deg_a, deg_b)
+    if hi is None:
         return None
-    return _assignment(_sylvester_rows(lo_a, lo_b, None)), -top
+    return -_degree_bound(neg_a, neg_b), hi
+
+
+def _int_terms(p: MultiPoly, var: str,
+               spectator: str) -> tuple[Rat, list[tuple[int, int, int]]]:
+    """(content, terms): p = content * sum of c*var^i*spectator^j over
+    the terms (i, j, c), integers c with gcd 1."""
+    nums, den = p.cleared()
+    g = math.gcd(*nums.values())
+    iv, js = VAR_INDEX[var], VAR_INDEX[spectator]
+    terms = []
+    for key, co in nums.items():
+        exps = decode_key(key)
+        terms.append((exps[iv], exps[js], co // g))
+    return Rat(g, den), terms
 
 
 def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
                      deadline: float | None = None) -> MultiPoly:
-    """resultant(a, b, var) for bivariate inputs, by evaluating the
-    spectator s at integers, taking each integer resultant by the
-    subresultant PRS (`kernels.resultant_int`) and interpolating in
-    integers.  One extra sample is checked as a consistency guard.
+    """resultant(a, b, var) for bivariate inputs in (v, s) = (var,
+    spectator), by sampling one variable at integers, taking each integer
+    resultant by the subresultant PRS (`kernels.resultant_int`) and
+    interpolating in integers.  One extra sample is checked as a
+    consistency guard.
 
-    Only exponents the resultant can hold are sampled.  Range: for the
-    Sylvester matrix S, in det S = sum over permutations p of
-    sign(p) * prod_i S[i][p(i)], the product along p has s-degree equal
-    to the sum of its entries' s-degrees and s-order equal to the sum of
-    their orders.  So
-    deg_s Res <= hi, the maximum-weight perfect matching on the table of
-    the entries' s-degrees, and ord_s Res >= lo, the minimum-weight
-    perfect matching on their orders (Jacobi's bound); a zero entry is
-    an absent edge.  If the nonzero entries admit no perfect matching,
-    every product meets a zero entry and det S is identically zero
-    (Frobenius-Koenig).  Stride: let A and B be the largest total
-    degrees in (var, s) of the primitive inputs' terms, da, db their
-    var-degrees, step the gcd of A - d and B - d over the terms' total
-    degrees d.  The entry of a in row i, column j is the coefficient of
-    var^(da-j+i), so all its s-exponents are congruent to A - (da-j+i)
-    mod step, likewise for b; summed along any permutation these give
-    A*db + B*da - da*db mod step, so every exponent of Res, and lo and
-    hi, lie in one class mod step.  With step = 0 (both inputs
-    homogeneous) every entry is a monomial and lo = hi.  The samples
-    t = 1, 2, ... thus give nodes x = t^step and values det / t^lo, an
-    exact integer division, and (hi - lo) / step + 1 coefficients (one
-    if step = 0).  Every t is a valid sample: `kernels.resultant_int`
-    gets the coefficient lists of the formal degrees da, db and returns
-    the Sylvester determinant of formal size da + db, so the value is
-    Res(t) also where a leading coefficient vanishes at t (Collins 1971).
-    Res has integer coefficients, so Newton interpolation at the integer
-    nodes runs in integers with exact divisions.  A structural zero
-    takes the guard sample alone, which must vanish.  For the sweep pair
-    in k at c = +-1 that is 42 coefficients and the guard, each a
-    resultant of formal degrees 8 and 11; in f every case is a
+    Encoding.  Let A, B be the largest total degrees of the primitive
+    inputs' terms, da, db their v-degrees, and step >= 1 the gcd of
+    A - d and B - d over the terms' total degrees d (1 if all are 0).
+    With a = sum c_ij v^i s^j, a(t*y, t) = t^A * a~(y, t^-step) for
+    a~(y, w) = sum c_ij y^i w^((A-i-j)/step), likewise b~ with B.
+    Res_y(f(t*y), g(t*y)) = t^(da*db)*Res_v(f, g) and the scalings t^A,
+    t^B give Res_v(a, b)(t) = t^top * Res_y(a~, b~)(t^-step) with
+    top = A*db + B*da - da*db: the coefficient of w^e is that of
+    s^(top - step*e), and every exponent of Res is congruent to top mod
+    step.  The columns (the coefficients of v^i, or of y^i) are sampled
+    in w when their largest w-degree is at most their largest s-degree,
+    at x = w; else in s, at x = t^step.  The nodes are
+    t = 1, -1, 2, -2, ... where t -> t^stride is injective (always in
+    w, for odd step in s), else t = 1, 2, 3, ...
+
+    Range (`_newton_range`, on the sampled columns a_0..a_m, b_0..b_n,
+    polynomials in one variable).  A zero formal leading column is
+    stripped first: expanding along the first column of the Sylvester
+    matrix, Res_{m,n} = a_m*Res_{m,n-1} if b_n = 0 and
+    (-1)^n*b_n*Res_{m-1,n} if a_m = 0; if both are 0 the determinant is
+    identically zero, and so it is when a_0 = b_0 = 0 (v divides both).
+    Otherwise, over the Puiseux series at infinity,
+    Res = a_m^n*b_n^m*prod (alpha_i - beta_j) over the roots, and a root
+    of degree sigma makes two terms a_i*v^i of the top degree
+    deg a_i + i*sigma meet: the root degrees are the negated slopes of
+    the upper hull of the points (i, deg a_i), each segment holding as
+    many roots as it is wide, and the first nonzero column's index
+    counts the roots v = 0 (degree -infinity).  With
+    deg(alpha - beta) <= max(deg alpha, deg beta),
+    hi = n*deg a_m + m*deg b_n + sum_ij max(sigma_i, tau_j) bounds
+    deg Res.  A segment of width p and drop d holds p roots of degree
+    d/p, so each pair of segments adds q*d or p*d' by the slopes
+    compared by cross-multiplication: hi is an integer, read off in
+    O(da*db) integer operations.  The order bound lo is the same bound
+    for the series at 0: the degree bound of the negated orders.  Both
+    depend only on the columns' supports, and for generic coefficients
+    on them no leading term cancels (with sigma = tau, the leading
+    coefficients of the two roots are roots of independent face
+    polynomials), so they are the degree and order of such a resultant:
+    in s, lo and hi lie in the class of top mod step, and in w they are
+    the images (top - hi)/step, (top - lo)/step of the bounds in s.
+    The samples give values det / t^lo, an exact integer division, and
+    (hi - lo) / stride + 1 coefficients.  Every t is a valid sample:
+    `kernels.resultant_int` returns the Sylvester determinant of the
+    formal degrees da, db, so the value is Res(t) also where a leading
+    coefficient vanishes at t (Collins 1971).  Res has integer
+    coefficients, so Newton interpolation at the integer nodes runs in
+    integers with exact divisions.  A structural zero takes the guard
+    sample alone, which must vanish.  For the sweep pair in k at
+    c = +-1 that is f-exponents 25..107 in steps of 2, sampled in w of
+    degree at most 4 (f-degree 12): 42 coefficients and the guard, each
+    a resultant of formal degrees 8 and 11; in f every case is a
     structural zero (f divides H and K), one resultant of formal degrees
     9 and 12 whose constant coefficients both vanish.
 
@@ -320,26 +367,43 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     da, db = a.degree(var), b.degree(var)
     if da == 0 or db == 0:
         return resultant(a, b, var)
-    cont_a, prim_a = a.primitive()
-    cont_b, prim_b = b.primitive()
+    cont_a, terms_a = _int_terms(a, var, spectator)
+    cont_b, terms_b = _int_terms(b, var, spectator)
     factor = cont_a ** db * cont_b ** da
-    degs_a = {sum(exps) for exps, _ in prim_a.terms()}
-    degs_b = {sum(exps) for exps, _ in prim_b.terms()}
+    degs_a = {i + j for i, j, _ in terms_a}
+    degs_b = {i + j for i, j, _ in terms_b}
     big_a, big_b = max(degs_a), max(degs_b)
-    step = math.gcd(*(big_a - d for d in degs_a), *(big_b - d for d in degs_b))
+    step = math.gcd(*(big_a - d for d in degs_a),
+                    *(big_b - d for d in degs_b)) or 1
+    top = big_a * db + big_b * da - da * db
+    w_deg = max(big_a - min(degs_a), big_b - min(degs_b)) // step
+    s_deg = max(j for _, j, _ in terms_a + terms_b)
+    in_w = w_deg <= s_deg
 
-    acols = [int_coeffs(ce, spectator) for ce in prim_a.coefficients_in(var)]
-    bcols = [int_coeffs(ce, spectator) for ce in prim_b.coefficients_in(var)]
-    span = _exponent_range(acols, bcols)
+    width = (w_deg if in_w else s_deg) + 1
+
+    def columns(terms, big, deg):
+        cols = [[0] * width for _ in range(deg + 1)]
+        for i, j, co in terms:
+            cols[i][(big - i - j) // step if in_w else j] = co
+        return cols
+
+    acols, bcols = columns(terms_a, big_a, da), columns(terms_b, big_b, db)
+    stride = 1 if in_w else step
+    span = _newton_range(acols, bcols)
     if span is None:
         low, count = 0, 0  # structural zero: only the guard sample
     else:
         low, high = span
-        count = (high - low) // step + 1 if step else 1
+        count = (high - low) // stride + 1
+    if stride & 1:
+        nodes = [(i // 2 + 1) * (-1) ** i for i in range(count + 1)]
+    else:
+        nodes = list(range(1, count + 2))
 
     xs: list[int] = []
     ys: list[int] = []
-    for t in range(1, count + 2):  # count coefficients, +1 consistency guard
+    for t in nodes:  # count coefficients, +1 consistency guard
         if deadline is not None and time.monotonic() > deadline:
             raise ComputationTimeout("per-case deadline expired")
         value, rest = divmod(
@@ -348,17 +412,18 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
             t ** low)
         if rest:
             raise ArithmeticError(f"sample at {t} not divisible by {t}^{low}")
-        xs.append(t ** step)
+        xs.append(t ** stride)
         ys.append(value)
 
     coeffs = _newton_interpolate(xs[:-1], ys[:-1]) if count else [0]
     if horner(coeffs, xs[-1]) != ys[-1]:
         raise ArithmeticError("interpolation guard sample mismatch")
-    out = MultiPoly.zero()
-    for i, co in enumerate(coeffs):
-        if co:
-            out = out + MultiPoly.var(spectator, low + step * i) * co
-    return out * factor
+    # coefficient i multiplies w^(low + i) = s^(top - step*(low + i)),
+    # or s^(low + step*i)
+    first, gap = (top - step * low, -step) if in_w else (low, step)
+    js = VAR_INDEX[spectator]
+    return MultiPoly({(0,) * js + (first + gap * i,): factor * co
+                      for i, co in enumerate(coeffs) if co})
 
 
 def gcd_subresultant(a: MultiPoly, b: MultiPoly, var: str) -> GcdResult:

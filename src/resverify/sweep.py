@@ -83,6 +83,7 @@ class CaseResult:
     leading: str | None
     ms: float
     timed_out: bool = False
+    error: str | None = None  # "Type: message" of what the case raised
 
     def key(self) -> tuple[int, int, int]:
         return (self.m, self.r, self.c)
@@ -99,20 +100,30 @@ class SweepReport:
     def timed_out(self) -> bool:
         return any(res.timed_out for res in self.results)
 
+    @property
+    def failed(self) -> bool:
+        return any(res.error is not None for res in self.results)
+
 
 def run_case(mm: int, rr: int, cc: int, var: str,
              timeout_s: float | None = None) -> CaseResult:
-    """One grid point: build H and K exactly and eliminate var."""
+    """One grid point: build H and K exactly and eliminate var.  A case
+    that times out or raises is recorded as such, not propagated, so that
+    the rest of the sweep is still reported."""
     from .ratio import rat_str
     start = time.monotonic()
     deadline = None if not timeout_s else start + timeout_s
     spectator = "f" if var == "k" else "k"
-    core = build_core((mm, rr, cc))
     try:
+        core = build_core((mm, rr, cc))
         res = resultant_interp(core.H, core.K, var, spectator, deadline=deadline)
     except ComputationTimeout:
         return CaseResult(mm, rr, cc, var, False, None, None,
                           (time.monotonic() - start) * 1000.0, timed_out=True)
+    except Exception as exc:
+        return CaseResult(mm, rr, cc, var, False, None, None,
+                          (time.monotonic() - start) * 1000.0,
+                          error=f"{type(exc).__name__}: {exc}")
     ms = (time.monotonic() - start) * 1000.0
     if res.is_zero():
         return CaseResult(mm, rr, cc, var, True, None, None, ms)
@@ -155,11 +166,13 @@ def report_to_dict(report: SweepReport, stable: bool = False) -> dict:
     for res in report.results:
         entry: dict = {"m": res.m, "r": res.r, "c": res.c, "var": res.var,
                        "zero": res.zero}
-        if not res.zero and not res.timed_out:
+        if res.degree is not None:
             entry["degree"] = res.degree
             entry["leading"] = res.leading
         if res.timed_out:
             entry["timeout"] = True
+        if res.error is not None:
+            entry["error"] = res.error
         if not stable:
             entry["ms"] = round(res.ms, 3)
         results.append(entry)
@@ -180,6 +193,8 @@ def report_to_text(report: SweepReport, stable: bool = False) -> str:
         base = f"m={res.m} r={res.r} c={res.c} var={res.var}"
         if res.timed_out:
             body = "TIMEOUT"
+        elif res.error is not None:
+            body = f"ERROR {res.error}"
         elif res.zero:
             body = "resultant: zero polynomial (exception)"
         else:

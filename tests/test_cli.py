@@ -172,6 +172,34 @@ class TestCli:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_case_reported_and_exit_three(self, capsys, monkeypatch,
+                                                 jobs):
+        # one case raises: it is reported with its exception, the other
+        # two keep their verdicts, in both formats and with a pool
+        inner = sweep.resultant_interp
+
+        def failing(a, b, var, spectator, deadline=None):
+            if a == sweep.build_core((4, 2, 0)).H:
+                raise ArithmeticError("planted failure")
+            return inner(a, b, var, spectator, deadline=deadline)
+
+        monkeypatch.setattr(sweep, "resultant_interp", failing)
+        base = ["sweep", "--var", "k", "--m", "4..4", "--r", "2",
+                "--c=-1,0,1", "--jobs", jobs, "--stable-output"]
+        assert main([*base, "--format", "json"]) == 3
+        entries = json.loads(capsys.readouterr().out)["results"]
+        assert [(e["c"], e.get("error")) for e in entries] == [
+            (-1, None), (0, "ArithmeticError: planted failure"), (1, None)]
+        assert "degree" not in entries[1] and not entries[1]["zero"]
+        assert entries[0]["degree"] == entries[2]["degree"] == 107
+        assert main(base) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == ("m=4 r=2 c=0 var=k ERROR ArithmeticError: "
+                            "planted failure")
+        assert lines[0].startswith("m=4 r=2 c=-1 var=k degree=107 ")
+        assert lines[2].startswith("m=4 r=2 c=1 var=k degree=107 ")
+
     def test_sweep_usage_error(self, capsys):
         code = main(["sweep", "--var", "k", "--m", "oops"])
         assert code == 2

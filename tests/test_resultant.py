@@ -11,8 +11,8 @@ from resverify.catalog import build_core, manifest
 from resverify.poly import MultiPoly, horner, int_coeffs, variables
 from resverify.ratio import Rat
 from resverify.resultant import (BothConstant, GcdResult, ZeroInput,
-                                 _bezout_rows, _exponent_range,
-                                 _newton_interpolate, _sylvester_rows,
+                                 _bezout_rows, _newton_interpolate,
+                                 _newton_range, _sylvester_rows,
                                  bareiss_det, gcd_subresultant, resultant,
                                  resultant_interp, sylvester)
 from resverify.sweep import run_case
@@ -244,19 +244,52 @@ class TestInterpPath:
         assert res.degree("z") == 80
 
 
+def _recording(monkeypatch, record):
+    calls = []
+    inner = kernels.resultant_int
+
+    def wrapper(f, g):
+        calls.append(record(f, g))
+        return inner(f, g)
+
+    monkeypatch.setattr(kernels, "resultant_int", wrapper)
+    return calls
+
+
 @pytest.fixture
 def det_calls(monkeypatch):
     """Records the formal degrees of each integer resultant
     (interpolation sample) taken."""
-    calls = []
-    inner = kernels.resultant_int
+    return _recording(monkeypatch, lambda f, g: (len(f) - 1, len(g) - 1))
 
-    def counting(f, g):
-        calls.append((len(f) - 1, len(g) - 1))
-        return inner(f, g)
 
-    monkeypatch.setattr(kernels, "resultant_int", counting)
-    return calls
+@pytest.fixture
+def samples(monkeypatch):
+    """Records the two coefficient lists of each integer resultant
+    (interpolation sample) taken."""
+    return _recording(monkeypatch, lambda f, g: (list(f), list(g)))
+
+
+def _columns(p, var="k", spectator="f"):
+    """The ascending spectator coefficient lists of p's primitive part's
+    coefficients in var: the columns resultant_interp bounds."""
+    prim = p.primitive()[1]
+    return [int_coeffs(ce, spectator) for ce in prim.coefficients_in(var)]
+
+
+def _exponents(p, spectator="f"):
+    return [e for e, co in enumerate(p.coefficients_in(spectator))
+            if not co.is_zero()]
+
+
+# k-leading coefficients that vanish at the samples f = 1 and f = 2
+VANISHING_PAIRS = [
+    ((F - 1) * (F - 2) * K ** 2 + F * K + 1, (F - 1) * K + F ** 2),
+    ((F - 1) * K ** 3 + (F - 3) * K + F ** 2 - 2,
+     (F - 2) * (F - 1) * K ** 2 + 5),
+    ((F - 1) * K ** 3 + F * K + F ** 2, (F - 2) * K ** 2 + (F - 1) * K + 3),
+    ((F - 1) * (F - 2) * K ** 4 + K ** 2 - F, (F - 1) * K + F ** 3),
+]
 
 
 class TestSampleBound:
@@ -273,13 +306,7 @@ class TestSampleBound:
                 # Res = R * f^top: one sample and the guard
                 assert len(det_calls) <= 2
 
-    @pytest.mark.parametrize("a,b", [
-        ((F - 1) * (F - 2) * K ** 2 + F * K + 1, (F - 1) * K + F ** 2),
-        ((F - 1) * K ** 3 + (F - 3) * K + F ** 2 - 2,
-         (F - 2) * (F - 1) * K ** 2 + 5),
-        ((F - 1) * K ** 3 + F * K + F ** 2, (F - 2) * K ** 2 + (F - 1) * K + 3),
-        ((F - 1) * (F - 2) * K ** 4 + K ** 2 - F, (F - 1) * K + F ** 3),
-    ])
+    @pytest.mark.parametrize("a,b", VANISHING_PAIRS)
     def test_vanishing_leading_coefficients(self, det_calls, a, b):
         # the k-leading coefficients vanish at the samples f = 1 and f = 2,
         # where the resultant of the formal degrees still gives Res, in
@@ -293,29 +320,127 @@ class TestSampleBound:
         assert len(det_calls) >= 3
         assert resultant_interp(b, a, "k", "f") == want * sign
 
-    @pytest.mark.parametrize("shape", [*SHAPES, "planted"])
-    def test_matching_bounds_bracket_the_resultant(self, rng, shape):
-        def columns(p):
-            prim = p.primitive()[1]
-            return [int_coeffs(ce, "f") for ce in prim.coefficients_in("k")]
+    @pytest.mark.parametrize("a,b", [
+        # sampled in w (w-degree 2 <= f-degree 3, step 1): the
+        # coefficient of y^2 in the dehomogenised a is 1 + w
+        ((F + 1) * K ** 2 + F ** 3 + F, F * K + F ** 2 + 1),
+        # the same for b: its y-leading coefficient is 1 + w
+        (K ** 3 + F ** 3 + F, (F + 1) * K + F ** 2),
+        # step 2 (w-degree 2 <= f-degree 4): a's y^2 coefficient is 1 + w
+        ((F ** 2 + 1) * K ** 2 + F ** 4 + 3, F * K + 2 * F ** 2 - 5),
+    ])
+    def test_vanishing_dehomogenised_leading_coefficients(self, samples, a, b):
+        # the node w = -1 makes a formal leading coefficient vanish; the
+        # kernel's formal-degree resultant still gives Res(w), in either
+        # argument order
+        want = bareiss_det(sylvester(a, b, "k"))
+        sign = (-1) ** (a.degree("k") * b.degree("k"))
+        assert resultant_interp(a, b, "k", "f") == want
+        assert any(not f[-1] or not g[-1] for f, g in samples)
+        del samples[:]
+        assert resultant_interp(b, a, "k", "f") == want * sign
+        assert any(not f[-1] or not g[-1] for f, g in samples)
 
-        for _ in range(25):
-            a, b = rand_shaped_pair(rng, shape)
-            span = _exponent_range(columns(a), columns(b))
-            res = resultant(a, b, "k")
-            if span is None:
-                assert res.is_zero(), (a, b)
-                continue
-            lo, hi = span
-            assert lo <= hi
-            if not res.is_zero():
-                exps = [e for e, co in enumerate(res.coefficients_in("f"))
-                        if not co.is_zero()]
-                assert lo <= exps[0] and exps[-1] <= hi, (a, b, span)
+    @pytest.mark.parametrize("a,b", [
+        (K ** 4 + F * K + 1, K ** 3 + F * K ** 2 + 3 * K),
+        (K ** 4 - 3 * F * K + 2, K ** 2 + 5),
+    ])
+    def test_even_stride_in_the_spectator(self, det_calls, a, b):
+        # step 2 and w-degree 2 above f-degree 1: sampled in f at nodes
+        # x = t^2, where t = -1 would repeat the node of t = 1
+        assert resultant_interp(a, b, "k", "f") == resultant(a, b, "k")
+        assert len(det_calls) >= 3
+
+    @pytest.mark.parametrize("shape", [*SHAPES, "planted", "vanishing"])
+    def test_matching_bounds_bracket_the_resultant(self, rng, shape):
+        # the Newton-polygon bound: lo <= ord_f Res <= deg_f Res <= hi,
+        # None only where Res is identically zero
+        pairs = (VANISHING_PAIRS if shape == "vanishing"
+                 else [rand_shaped_pair(rng, shape) for _ in range(25)])
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                span = _newton_range(_columns(x), _columns(y))
+                res = resultant(x, y, "k")
+                if span is None:
+                    assert res.is_zero(), (x, y)
+                    continue
+                lo, hi = span
+                assert lo <= hi
+                if not res.is_zero():
+                    exps = _exponents(res)
+                    assert lo <= exps[0] and exps[-1] <= hi, (x, y, span)
+
+    @pytest.mark.parametrize("a,b,span", [
+        # roots +-f^(3/2) against f: 2*max(3/2, 1) = 3, 2*min = 2
+        (K ** 2 - F ** 3, K - F, (2, 3)),
+        # +-f^(3/2) against +-f^(5/2): Res = (f^3 - f^5)^2
+        (K ** 2 - F ** 3, K ** 2 - F ** 5, (6, 10)),
+        # three roots of degree 1/3 against +-f^(3/2): Res = f^2 - f^9
+        (K ** 3 - F, K ** 2 - F ** 3, (2, 9)),
+        # the root k = 0 (degree -infinity, order +infinity) and
+        # +-i*f^(1/2) against +-f^(3/2): Res = -(f^9 + 2f^7 + f^5)
+        (K ** 3 + F * K, K ** 2 - F ** 3, (5, 9)),
+        # leading coefficients f and f^2, roots +-f^(1/2) and +-f^-1:
+        # 2 + 4 + 4*max(1/2, -1) = 8 and 2 + 4 + 4*min(1/2, -1) = 2
+        (F * K ** 2 - F ** 2, F ** 2 * K ** 2 - 1, (2, 8)),
+    ])
+    def test_fractional_root_degrees(self, a, b, span):
+        # the hull slopes are fractions; summed over the root pairs they
+        # give the exact exponent range of Res, which rounding each root
+        # degree to an integer would miss
+        res = resultant(a, b, "k")
+        exps = _exponents(res)
+        assert (exps[0], exps[-1]) == span
+        assert _newton_range(_columns(a), _columns(b)) == span
+        assert _newton_range(_columns(b), _columns(a)) == span
+        assert resultant_interp(a, b, "k", "f") == res
+
+    def test_newton_range_strips_zero_leading_columns(self):
+        # formal degrees above the true ones: Res_{m,n} = a_m*Res_{m,n-1}
+        # if b_n = 0 and (-1)^n*b_n*Res_{m-1,n} if a_m = 0, so a zero
+        # leading column adds the other leading column's exponents; both
+        # zero make the first Sylvester column, and det, zero
+        a = [[0, 1], [1]]  # f + k
+        b = [[0, 0, 1], [0, 2], [0, 1]]  # f^2 + 2f*k + f*k^2
+
+        def formal_res(acols, bcols):
+            polys = [[sum((co * F ** e for e, co in enumerate(col)),
+                          MultiPoly.zero()) for col in cols]
+                     for cols in (acols, bcols)]
+            det = bareiss_det(_sylvester_rows(*polys, MultiPoly.zero()))
+            exps = _exponents(det)
+            return (exps[0], exps[-1]) if exps else None
+
+        # Res(a, b) = b(-f) = f^3 - f^2; a_2 = 0 multiplies it by b_2 = f
+        for acols, bcols, span in ((a, b, (2, 3)), (a + [[0]], b, (3, 4)),
+                                   (a, b + [[0]], (2, 3)),
+                                   (a + [[0]], b + [[0]], None)):
+            assert _newton_range(acols, bcols) == span
+            assert formal_res(acols, bcols) == span
+
+    def test_sweep_spans(self):
+        # f-exponents 25..107 at c = +-1 (42 coefficients with stride 2),
+        # only 107 at c = 0; in f a structural zero (f divides H and K)
+        for cc, span in ((1, (25, 107)), (-1, (25, 107)), (0, (107, 107))):
+            core = build_core((15, 8, cc))
+            assert _newton_range(_columns(core.H), _columns(core.K)) == span
+        core = build_core((15, 8, 1))
+        assert _newton_range(_columns(core.H, "f", "k"),
+                             _columns(core.K, "f", "k")) is None
+
+    @pytest.mark.parametrize("cc", [1, -1])
+    def test_sweep_samples_are_small(self, samples, cc):
+        # dehomogenised in w of degree <= 4, at nodes +-1, ..., +-22, each
+        # sample input fits in 96 bits (143 bits at f = 1..43)
+        run_case(15, 8, cc, "k")
+        assert len(samples) == 43
+        assert max(abs(x).bit_length()
+                   for f, g in samples for x in f + g) <= 96
 
     def test_structural_zero_takes_only_the_guard(self, rng, det_calls):
-        # k divides both inputs, so the Sylvester matrix's last column is
-        # empty: no perfect matching, det = 0, one guard sample confirms it
+        # k divides both inputs: both constant columns vanish, so the
+        # Sylvester matrix's last column is empty, det = 0, and one guard
+        # sample confirms it
         pairs = [(K ** 2 * F, K * F)]
         pairs += [tuple(K * p for p in rand_shaped_pair(rng, shape))
                   for shape in (*SHAPES, "planted") for _ in range(5)]
@@ -339,7 +464,7 @@ class TestSampleBound:
             assert res.substitute(spectator, t0) == resultant(h0, k0, var)
 
     def test_sweep_case_sample_counts(self, det_calls):
-        # the matchings give f-exponents 25..107 with stride 2 at c = +-1
+        # the bound gives f-exponents 25..107 with stride 2 at c = +-1
         # (42 coefficients and the guard); only f^107 at c = 0.  Each
         # sample has the formal degrees of H and K: 8 and 11 in k, 9
         # and 12 in f
