@@ -7,8 +7,22 @@ import pytest
 
 from resverify import sweep
 from resverify.cli import main
+from resverify.resultant import resultant_interp
 from resverify.sweep import (SweepConfig, UsageError, expected_exceptions,
                              report_to_dict, run_case, run_sweep)
+
+
+def _failing(a, b, var, spectator, deadline=None):
+    if a == sweep.build_core((4, 2, 0)).H:
+        raise ArithmeticError("planted failure")
+    return resultant_interp(a, b, var, spectator, deadline=deadline)
+
+
+def _planting_worker(args):
+    # runs in this process or in a pool worker of any start method
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "resultant_interp", _failing)
+        return run_case(*args)
 
 
 class TestSweep:
@@ -176,15 +190,10 @@ class TestCli:
     def test_failed_case_reported_and_exit_three(self, capsys, monkeypatch,
                                                  jobs):
         # one case raises: it is reported with its exception, the other
-        # two keep their verdicts, in both formats and with a pool
-        inner = sweep.resultant_interp
-
-        def failing(a, b, var, spectator, deadline=None):
-            if a == sweep.build_core((4, 2, 0)).H:
-                raise ArithmeticError("planted failure")
-            return inner(a, b, var, spectator, deadline=deadline)
-
-        monkeypatch.setattr(sweep, "resultant_interp", failing)
+        # two keep their verdicts, in both formats and with a pool.  The
+        # failure is planted by the case worker, which a pool pickles by
+        # reference, so it reaches forked and spawned workers alike
+        monkeypatch.setattr(sweep, "_case_worker", _planting_worker)
         base = ["sweep", "--var", "k", "--m", "4..4", "--r", "2",
                 "--c=-1,0,1", "--jobs", jobs, "--stable-output"]
         assert main([*base, "--format", "json"]) == 3

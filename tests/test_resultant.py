@@ -395,29 +395,6 @@ class TestSampleBound:
         assert _newton_range(_columns(b), _columns(a)) == span
         assert resultant_interp(a, b, "k", "f") == res
 
-    def test_newton_range_strips_zero_leading_columns(self):
-        # formal degrees above the true ones: Res_{m,n} = a_m*Res_{m,n-1}
-        # if b_n = 0 and (-1)^n*b_n*Res_{m-1,n} if a_m = 0, so a zero
-        # leading column adds the other leading column's exponents; both
-        # zero make the first Sylvester column, and det, zero
-        a = [[0, 1], [1]]  # f + k
-        b = [[0, 0, 1], [0, 2], [0, 1]]  # f^2 + 2f*k + f*k^2
-
-        def formal_res(acols, bcols):
-            polys = [[sum((co * F ** e for e, co in enumerate(col)),
-                          MultiPoly.zero()) for col in cols]
-                     for cols in (acols, bcols)]
-            det = bareiss_det(_sylvester_rows(*polys, MultiPoly.zero()))
-            exps = _exponents(det)
-            return (exps[0], exps[-1]) if exps else None
-
-        # Res(a, b) = b(-f) = f^3 - f^2; a_2 = 0 multiplies it by b_2 = f
-        for acols, bcols, span in ((a, b, (2, 3)), (a + [[0]], b, (3, 4)),
-                                   (a, b + [[0]], (2, 3)),
-                                   (a + [[0]], b + [[0]], None)):
-            assert _newton_range(acols, bcols) == span
-            assert formal_res(acols, bcols) == span
-
     def test_sweep_spans(self):
         # f-exponents 25..107 at c = +-1 (42 coefficients with stride 2),
         # only 107 at c = 0; in f a structural zero (f divides H and K)
