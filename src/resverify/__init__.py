@@ -13,8 +13,8 @@ from .poly import (MAX_EXPONENT, VAR_NAMES, ExponentOverflow, InexactDivision,
                    MissingAssignment, MultiPoly, RatFun, ZeroDivisor, gcd,
                    horner, pseudo_division, variables)
 from .ratio import RAT_BACKEND, Rat, rat_str
-from .resultant import (BothConstant, ComputationTimeout, GcdResult,
-                        ZeroInput, bareiss_det, gcd_subresultant, resultant,
+from .resultant import (BothConstant, ComputationTimeout, ZeroInput,
+                        bareiss_det, gcd_subresultant, resultant,
                         resultant_interp, sylvester)
 from .sweep import (CaseResult, SweepConfig, SweepReport, UsageError,
                     expected_exceptions, run_case, run_sweep)
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BothConstant", "CHECK_NAMES", "CaseResult", "CheckOutcome",
     "ComputationTimeout", "CoreCatalog", "DegreeTooLow", "DuplicateName",
-    "ExponentOverflow", "ExprSyntaxError", "ForwardReference", "GcdResult",
+    "ExponentOverflow", "ExprSyntaxError", "ForwardReference",
     "InexactDivision", "InvalidParameters", "KERNEL_BACKEND", "MAX_EXPONENT",
     "Manifest", "MissingAssignment", "MultiPoly", "NegativeExponent",
     "RAT_BACKEND", "Rat", "RatFun", "SweepConfig", "SweepReport",

@@ -207,8 +207,6 @@ class CoreCatalog:
         den = subst_dict(den, self._values)
         k = add_dicts(kernels.mul_dicts(diff_dict(h, "f"), num, GUARD_MASK),
                       kernels.mul_dicts(diff_dict(h, "k"), den, GUARD_MASK))
-        self.num_derf = MultiPoly.from_cleared(num, d_f)
-        self.den_derf = MultiPoly.from_cleared(den, d_f)
         self.H = MultiPoly.from_cleared(h, d_h * scale)
         self.K = MultiPoly.from_cleared(k, d_h * scale * d_f)
 

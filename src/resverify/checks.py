@@ -106,13 +106,13 @@ def check_special_case(c_mode: str = "symbolic") -> CheckOutcome:
     run.note("display cofactor (second)", "21/2*f")
 
     delta = spec(man["delta"])
-    g = gcd_subresultant(h, k, "k").gcd
+    g = gcd_subresultant(h, k, "k")
     run.expect("primitive gcd of the pair is the conic", g == delta, g)
     for label, other in (("cubic factor", man["sc1cubic"]),
                          ("tail factor", man["sc1tail"]),
                          ("linear factor", man["sc2lin"]),
                          ("degree-8 factor", man["sc2oct"])):
-        gg = gcd_subresultant(spec(other), delta, "k").gcd
+        gg = gcd_subresultant(spec(other), delta, "k")
         run.expect(f"{label} coprime to the conic", gg.is_constant(), gg)
     return run.outcome()
 

@@ -41,6 +41,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad integer list {text!r}") from None
 
 
+def _open(path: str, mode: str):
+    """open() a file named on the command line; failing to is a usage
+    error, not an internal one."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="verify",
@@ -125,7 +134,7 @@ def cmd_check(args) -> int:
 
 def cmd_resultant(args) -> int:
     from .resultant import resultant
-    with open(args.manifest, encoding="utf-8") as fh:
+    with _open(args.manifest, "r") as fh:
         man = load_manifest(fh.read())
     for name in (args.a, args.b):
         if name not in man:
@@ -150,7 +159,7 @@ def cmd_resultant(args) -> int:
 
 def cmd_export_manifest(args) -> int:
     if args.path:
-        with open(args.path, "w", encoding="utf-8") as fh:
+        with _open(args.path, "w") as fh:
             fh.write(MANIFEST_TEXT)
     else:
         sys.stdout.write(MANIFEST_TEXT)
@@ -168,7 +177,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (UsageError, UnknownCheck, FileNotFoundError) as exc:
+    except (UsageError, UnknownCheck) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # internal failure, distinct from mismatch

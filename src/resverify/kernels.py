@@ -4,10 +4,12 @@ Multivariate polynomials appear here as raw dicts mapping packed
 exponent keys (int) to rational/integer coefficients; key addition is
 monomial multiplication.  A set guard bit in a key sum means a
 per-variable exponent overflowed its field.  The integer kernels take
-plain lists: `bareiss_det_int` a square matrix, `resultant_int` two
-ascending univariate coefficient lists (the samples of
-`resultant.resultant_interp`).  They run on `int` alone, and every
-division in them is exact.  Callers look these functions up as
+plain lists: `resultant_int` two ascending univariate coefficient lists
+(the samples of `resultant.resultant_interp`), `bareiss_det_int` a
+square matrix.  They run on `int` alone, and every division in them is
+exact.  `bareiss_det_int` has no library caller: it stays as the tests'
+determinant oracle and as a benchmark trace target until the benchmark
+traces `resultant_int` instead.  Callers look these functions up as
 attributes of this module (kernels.mul_dicts), so a wrapper set on the
 module sees every call.
 """

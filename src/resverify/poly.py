@@ -603,12 +603,6 @@ class RatFun:
     def constant_value(self):
         return self.num.constant_value() / self.den.constant_value()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
-    def as_poly(self) -> MultiPoly:
-        return self.num.exact_div(self.den)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (MultiPoly, int, Rat)):
             other = RatFun(_coerce(other))
@@ -662,8 +656,8 @@ class RatFun:
         return subst_ratfun(self.num, name, value) / subst_ratfun(self.den, name, value)
 
     def __str__(self) -> str:
-        if self.is_polynomial():
-            return str(self.as_poly())
+        if self.den.is_constant():
+            return str(self.num.exact_div(self.den))
         return f"({self.num}) / ({self.den})"
 
     def __repr__(self) -> str:

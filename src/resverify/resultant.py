@@ -2,11 +2,12 @@
 evaluation-interpolation paths) and subresultant-PRS gcd.
 
 Sign convention: the Sylvester determinant with the rows of the first
-argument on top.  The symbolic `resultant` takes the determinant of a
-Bezout-type matrix of size max(da, db), which has that determinant
-exactly (`_bezout_rows`); `resultant_interp` samples the inputs, or their
-dehomogenisation, at small integer nodes over an exponent range read
-off the Newton polygons of the columns, and takes each integer sample
+argument on top.  `resultant` takes the fraction-free Bareiss
+determinant (`bareiss_det`) of a Bezout-type matrix of size max(da, db),
+which has that determinant exactly (`_bezout_rows`), for constant and
+symbolic coefficients alike; `resultant_interp` samples the inputs, or
+their dehomogenisation, at the nodes +-1, +-2, ... over an exponent
+range read off the Newton polygons of the columns, and takes each sample
 by the subresultant PRS (`kernels.resultant_int`), which computes it
 for the formal degrees; `sylvester` builds the Sylvester matrix itself.
 Rational content of the inputs is cleared before the determinant and
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 from . import kernels
 from .poly import (VAR_INDEX, MultiPoly, _content_in, _prs_gcd, decode_key,
@@ -36,14 +36,6 @@ class BothConstant(ValueError):
 
 class ComputationTimeout(RuntimeError):
     """A cooperative deadline expired mid-computation."""
-
-
-@dataclass
-class GcdResult:
-    """Primitive gcd w.r.t. one variable plus the cofactor v-degrees."""
-
-    gcd: MultiPoly
-    cofactor_degrees: tuple[int, int]
 
 
 def _sylvester_rows(a_coeffs: list, b_coeffs: list, zero) -> list[list]:
@@ -172,10 +164,6 @@ def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
         a_coeffs, b_coeffs = b_coeffs, a_coeffs
         factor *= (-1) ** (da * db)
     rows = _bezout_rows(a_coeffs, b_coeffs, MultiPoly.zero())
-    if all(e.is_constant() for row in rows for e in row):
-        det_val = kernels.bareiss_det_int(
-            [[e.constant_value().numerator for e in row] for row in rows])
-        return MultiPoly.const(Rat(det_val) * factor)
     return bareiss_det(rows) * factor
 
 
@@ -295,13 +283,13 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     top = A*db + B*da - da*db: the coefficient of w^e is that of
     s^(top - step*e), and every exponent of Res is congruent to top mod
     step.  The columns (the coefficients of v^i, or of y^i) are sampled
-    in w when their largest w-degree is at most their largest s-degree,
-    at x = w; else in s, at x = t^step.  Both take the same number of
-    samples, and the lower column degree gives the smaller sample
-    inputs: sampled in w (degree 19 against 11), the z-pairs of
-    `appendix-c-leading` ran 16% slower.  The nodes are
-    t = 1, -1, 2, -2, ... where t -> t^stride is injective (always in
-    w, for odd step in s), else t = 1, 2, 3, ...
+    in s, at x = t^step, when step is odd and their largest s-degree is
+    below their largest w-degree; else in w, at x = w.  Both take the
+    same number of samples, and the lower column degree gives the
+    smaller sample inputs: sampled in w (degree 19 against 11), the
+    z-pairs of `appendix-c-leading` ran 16% slower.  The nodes are
+    t = 1, -1, 2, -2, ..., on which x = t^stride is injective: the
+    stride is 1 in w and the odd step in s.
 
     Range (`_newton_range`, on the sampled columns a_0..a_m, b_0..b_n,
     polynomials in one variable, m = da, n = db; a_m and b_n are
@@ -343,6 +331,8 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
 
     deadline is an optional time.monotonic() timestamp; crossing it
     between samples raises ComputationTimeout."""
+    if spectator == var:
+        raise ValueError(f"the spectator must differ from {var!r}")
     if a.is_zero() or b.is_zero():
         raise ZeroInput("resultant of a zero polynomial")
     extra = (a.vars_used() | b.vars_used()) - {var, spectator}
@@ -363,8 +353,7 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     top = big_a * db + big_b * da - da * db
     w_deg = max(big_a - min(degs_a), big_b - min(degs_b)) // step
     s_deg = max(j for _, j, _ in terms_a + terms_b)
-    in_w = w_deg <= s_deg
-
+    in_w = w_deg <= s_deg or not step & 1
     width = (w_deg if in_w else s_deg) + 1
 
     def columns(terms, big, deg):
@@ -381,10 +370,7 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     else:
         low, high = span
         count = (high - low) // stride + 1
-    if stride & 1:
-        nodes = [(i // 2 + 1) * (-1) ** i for i in range(count + 1)]
-    else:
-        nodes = list(range(1, count + 2))
+    nodes = [(i // 2 + 1) * (-1) ** i for i in range(count + 1)]
 
     xs: list[int] = []
     ys: list[int] = []
@@ -411,16 +397,13 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
                       for i, co in enumerate(coeffs) if co})
 
 
-def gcd_subresultant(a: MultiPoly, b: MultiPoly, var: str) -> GcdResult:
+def gcd_subresultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     """Primitive gcd w.r.t. var; content over the remaining variables is
     handled recursively and stripped from the result."""
     if a.is_zero() or b.is_zero():
         raise ZeroInput("gcd of a zero polynomial")
-    da, db = a.degree(var), b.degree(var)
-    if da == 0 or db == 0:
-        return GcdResult(MultiPoly.const(1), (da, db))
+    if a.degree(var) == 0 or b.degree(var) == 0:
+        return MultiPoly.const(1)
     pp_a = a.exact_div(_content_in(a, var))
     pp_b = b.exact_div(_content_in(b, var))
-    g = _prs_gcd(pp_a, pp_b, var)
-    dg = g.degree(var)
-    return GcdResult(g, (da - dg, db - dg))
+    return _prs_gcd(pp_a, pp_b, var)

@@ -48,8 +48,9 @@ class SweepConfig:
             raise UsageError("r values must be integers")
         if type(self.jobs) is not int or self.jobs < 1:
             raise UsageError("jobs must be an integer >= 1")
-        if not self.case_timeout >= 0:
-            raise UsageError("case timeout must be >= 0 seconds")
+        if not (type(self.case_timeout) in (int, float)
+                and self.case_timeout >= 0):
+            raise UsageError("case timeout must be a number >= 0 seconds")
 
     def cases(self) -> list[tuple[int, int, int]]:
         """The admissible (m, r, c) grid points, sorted, each once."""

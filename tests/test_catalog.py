@@ -125,10 +125,13 @@ class TestBuildCore:
         # the trajectory-derivative quotient is already reduced at
         # (5,3,1): its gcd is constant by the subresultant oracle
         from resverify.poly import gcd
+        man = manifest()
         core = build_core((5, 3, 1))
-        rf = RatFun(core.num_derf, core.den_derf)
-        assert gcd(core.num_derf, core.den_derf).is_constant()
-        assert rf * RatFun(core.den_derf) == RatFun(core.num_derf)
+        num, den = (core.specialize(man[name])
+                    for name in ("NumDerF", "DenDerF"))
+        rf = RatFun(num, den)
+        assert gcd(num, den).is_constant()
+        assert rf * RatFun(den) == RatFun(num)
 
     def test_k_by_independent_reference_path(self):
         """Rebuild K(5,3,1) with the tuple-keyed Fraction reference
@@ -176,15 +179,18 @@ def _seeded_cases(n=30, seed=20241018):
 
 
 class TestIntegerBuild:
-    """build_core against an independent reference: the same H, K,
-    num_derf and den_derf term by term, every coefficient a Fraction."""
+    """build_core against an independent reference: the same H and K,
+    and the specialized NumDerF and DenDerF, term by term, every
+    coefficient a Fraction."""
 
     @pytest.mark.parametrize("params", [None, (7, 4, None), (4, 2, 0),
                                         (30, 29, 1), (30, 29, -1)]
                              + _seeded_cases())
     def test_matches_reference(self, params):
         core = build_core(params)
-        got = (core.H, core.K, core.num_derf, core.den_derf)
+        man = manifest()
+        got = (core.H, core.K, core.specialize(man["NumDerF"]),
+               core.specialize(man["DenDerF"]))
         for poly, want in zip(got, _ref_core(params)):
             terms = dict(poly.terms())
             assert all(type(co) is Fraction for co in terms.values())

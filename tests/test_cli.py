@@ -44,6 +44,15 @@ class TestSweep:
             with pytest.raises(UsageError):
                 SweepConfig(**bad).validate()
 
+    @pytest.mark.parametrize("timeout", ["5", None, True, float("nan")])
+    def test_case_timeout_validation(self, timeout):
+        # a string or None fails in the comparison, and True would be a
+        # deadline of 1 s: all are usage errors, as for m, r, c and jobs;
+        # an int is a number of seconds like a float
+        with pytest.raises(UsageError):
+            SweepConfig(case_timeout=timeout).validate()
+        SweepConfig(case_timeout=2).validate()
+
     def test_case_enumeration_sorted(self):
         cfg = SweepConfig(m_lo=4, m_hi=5, c_list=(1, -1))
         cases = cfg.cases()
@@ -310,6 +319,23 @@ class TestCli:
                      "--a", "a", "--b", "b", "--var", "w"])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["resultant", "--manifest", "{dir}", "--a", "a", "--b", "b",
+         "--var", "k"],
+        ["resultant", "--manifest", "{dir}/missing.txt", "--a", "a",
+         "--b", "b", "--var", "k"],
+        ["export-manifest", "{dir}"],
+        ["export-manifest", "{dir}/missing/out.txt"],
+    ])
+    def test_unusable_path_is_usage_error(self, tmp_path, capsys, argv):
+        # a directory or a missing file named on the command line is the
+        # user's error (exit 2), not an internal one (exit 3)
+        code = main([arg.format(dir=tmp_path) for arg in argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("verify: [Errno ") and str(tmp_path) in err
+        assert "internal error" not in err
 
     def test_export_manifest(self, tmp_path, capsys):
         from resverify.catalog import MANIFEST_TEXT
