@@ -12,7 +12,7 @@ from .parser import (DuplicateName, ExprSyntaxError, ForwardReference,
 from .poly import (MAX_EXPONENT, VAR_NAMES, ExponentOverflow, InexactDivision,
                    MissingAssignment, MultiPoly, RatFun, ZeroDivisor, gcd,
                    horner, pseudo_division, variables)
-from .ratio import RAT_BACKEND, Rat, rat_str
+from .ratio import RAT_BACKEND, Rat
 from .resultant import (BothConstant, ComputationTimeout, ZeroInput,
                         bareiss_det, gcd_subresultant, resultant,
                         resultant_interp, sylvester)
@@ -31,7 +31,7 @@ __all__ = [
     "UnknownCheck", "UnknownName", "UsageError", "VAR_NAMES", "ZeroDivisor",
     "ZeroInput", "bareiss_det", "build_core", "expected_exceptions",
     "format_poly", "gcd", "gcd_subresultant", "horner", "load_manifest",
-    "manifest", "parse", "pseudo_division", "rat_str", "reduce_to_z",
+    "manifest", "parse", "pseudo_division", "reduce_to_z",
     "resultant", "resultant_interp", "run_case", "run_check", "run_sweep",
     "sylvester", "variables",
 ]

@@ -252,9 +252,11 @@ def fp_square_to_s(p: MultiPoly) -> MultiPoly:
 def reduce_to_z(p: MultiPoly, drop: int) -> MultiPoly:
     """Map each monomial k^i f^j to z^i f^(i+j-drop).
 
-    Every monomial must have (f,k)-total degree >= drop; the result
-    satisfies f^drop * result(z -> k/f) == p as rational functions.
+    p must be free of z and every monomial of (f,k)-degree >= drop;
+    then f^drop * result(z -> k/f) == p as rational functions.
     """
+    if "z" in p.vars_used():
+        raise ValueError("reduce_to_z input already involves z")
     fi, ki, zi = VAR_INDEX["f"], VAR_INDEX["k"], VAR_INDEX["z"]
     terms = {}
     for exps, coeff in p.terms():
@@ -270,5 +272,4 @@ def reduce_to_z(p: MultiPoly, drop: int) -> MultiPoly:
         new[zi] = ek
         key = tuple(new)
         terms[key] = terms.get(key, 0) + coeff
-    out = MultiPoly(terms)
-    return out
+    return MultiPoly(terms)

@@ -16,7 +16,7 @@ from .catalog import (build_core, closed_form_tables, dominant_coef_value,
 from .parser import format_poly
 from .parser import parse  # noqa: F401  (perfbench/spans.py traces checks.parse)
 from .poly import MultiPoly, RatFun, horner, int_coeffs, pseudo_division
-from .ratio import Rat, rat_str
+from .ratio import Rat
 from .resultant import gcd_subresultant, resultant, resultant_interp
 
 
@@ -61,10 +61,6 @@ class _Run:
                             (time.monotonic() - self.start) * 1000.0)
 
 
-def _var(name: str) -> MultiPoly:
-    return MultiPoly.var(name)
-
-
 def check_res_pq() -> CheckOutcome:
     """Generic elimination of k from P and Q: a degree-9 polynomial in f
     with no f^0..f^2 part and the predicted f^3 coefficient."""
@@ -93,7 +89,7 @@ def check_special_case(c_mode: str = "symbolic") -> CheckOutcome:
     c_value = None if c_mode == "symbolic" else int(c_mode)
     core = build_core((7, 4, c_value))
     h, k, spec = core.H, core.K, core.specialize
-    f = _var("f")
+    f = MultiPoly.var("f")
     sc1 = spec(man["sc1conic"] * man["sc1cubic"] * man["sc1tail"]) * Rat(45927, 16)
     sc2 = spec(man["sc2lin"] * man["sc1conic"] * man["sc2oct"]) * Rat(1240029, 16)
     # the displays drop a positive factor of f (and a constant for the
@@ -139,7 +135,7 @@ def check_relation1_delta() -> CheckOutcome:
                not hgen_gap(8).is_zero())
     cubic = (man["rel1cubic2"].substitute("m", 7).substitute("r", 4)
              * Rat(1, 3))
-    target = _var("f") * man["delta"] * Rat(3, 4)
+    target = MultiPoly.var("f") * man["delta"] * Rat(3, 4)
     run.expect("cubic block equals (3/4)*f*delta", cubic == target,
                cubic - target)
     run.expect("still holds at c=0",
@@ -154,14 +150,14 @@ def check_biconservative() -> CheckOutcome:
     operator with k1 = -7/2 f and k3 = 7/2 f - k."""
     run = _Run("biconservative")
     man = manifest()
-    k = _var("k")
+    k, f, c = (MultiPoly.var(n) for n in ("k", "f", "c"))
     a_sq = man["k1spec"] ** 2 + 3 * k * k + 3 * man["k3spec"] ** 2
-    lhs = 14 * a_sq - 245 * _var("f") ** 2 - 96 * _var("c")
+    lhs = 14 * a_sq - 245 * f ** 2 - 96 * c
     rhs = 3 * man["delta"]
     run.expect("14|A|^2 - 245 f^2 - 96 c == 3 delta", lhs == rhs, lhs - rhs)
     scaled = 14 * a_sq
     run.expect("spot k=0: 14|A|^2 is 686 f^2",
-               scaled.substitute("k", 0) == 686 * _var("f") ** 2)
+               scaled.substitute("k", 0) == 686 * f ** 2)
     run.expect("spot f=0: 14|A|^2 is 84 k^2",
                scaled.substitute("f", 0) == 84 * k * k)
     return run.outcome()
@@ -190,14 +186,14 @@ def check_nonic() -> CheckOutcome:
     ratio = cleared.leading_coefficient() / nonic.leading_coefficient()
     run.expect("cleared numerator is a constant multiple of the nonic",
                cleared == nonic * ratio, cleared)
-    run.note("common rational factor", rat_str(ratio))
+    run.note("common rational factor", str(ratio))
     for mono_c, mono_f in ((4, 1), (3, 3), (2, 5), (1, 7), (0, 9)):
         want = nonic.coefficient("c", mono_c).coefficient("f", mono_f)
         got = cleared.coefficient("c", mono_c).coefficient("f", mono_f)
         run.expect(f"coefficient of c^{mono_c}*f^{mono_f} matches",
                    got == want * ratio, got)
         run.note(f"published c^{mono_c}*f^{mono_f}",
-                 rat_str(want.constant_value()))
+                 str(want.constant_value()))
     at_c0 = cleared.substitute("c", 0)
     run.expect("c=0 leaves a single f^9 term",
                len(at_c0) == 1 and at_c0.degree("f") == 9, at_c0)
@@ -210,7 +206,7 @@ def check_mod_delta_chain() -> CheckOutcome:
     the normal-part coefficients reduce to the published forms."""
     run = _Run("mod-delta-chain")
     man = manifest()
-    f, k, c, s = (_var(n) for n in ("f", "k", "c", "s"))
+    f, k, c, s = (MultiPoly.var(n) for n in ("f", "k", "c", "s"))
     delta = man["delta"]
 
     # derivative chain consistency: Omega = k'/(k1 - k2), Theta = k3'/(k1 - k3)
@@ -226,7 +222,7 @@ def check_mod_delta_chain() -> CheckOutcome:
 
     # (a) Omega*Theta + c + k2*k3 == 0 reproduces the first display;
     # the numerators carry one fp each, their product rewrites to s
-    fp = _var("fp")
+    fp = MultiPoly.var("fp")
     prod_num = fp_square_to_s(man["omeganum"] * fp * (man["thetanum"] * fp))
     num = (prod_num
            + (c + k * k3) * man["omegaden"] * man["thetaden"])
@@ -235,7 +231,7 @@ def check_mod_delta_chain() -> CheckOutcome:
     run.expect("product identity reproduces the first display",
                ratio.is_constant() and not ratio.is_zero(), num)
     if ratio.is_constant():
-        run.note("reconstruction factor", rat_str(ratio.constant_value()))
+        run.note("reconstruction factor", str(ratio.constant_value()))
 
     # (b) cross-multiplied displays agree modulo delta
     cross = man["g3p1A"] * man["g3p2B"] - man["g3p2A"] * man["g3p1B"]
@@ -269,7 +265,8 @@ def check_kfconst() -> CheckOutcome:
     and the three-equation elimination collapses as published."""
     run = _Run("kfconst")
     man = manifest()
-    m, al, be, c, f, s = (_var(n) for n in ("m", "alpha", "beta", "c", "f", "s"))
+    m, al, be, c, f, s = (MultiPoly.var(n)
+                          for n in ("m", "alpha", "beta", "c", "f", "s"))
     lead = man["kff6lead"]
     for label, name in (("first variant", "kfdeg6a"), ("second variant", "kfdeg6b")):
         rel = man[name]
@@ -278,22 +275,21 @@ def check_kfconst() -> CheckOutcome:
         run.expect(f"{label} f^6 coefficient matches", got == lead, got - lead)
 
     two, four = MultiPoly.const(2), MultiPoly.const(4)
-    kf1 = (RatFun(m + 4 * al, m + 2 * al) * s
-           + RatFun((m + 2 * al) * c * f ** 2, two * al)
-           - RatFun(m * (m + 2 * al) * f ** 4, four))
-    kf5 = (RatFun(m + 4 * be, m + 2 * be) * s
-           + RatFun((m + 2 * be) * c * f ** 2, two * be)
-           - RatFun(m * (m + 2 * be) * f ** 4, four))
+
+    def kf(x: MultiPoly) -> RatFun:  # the relation in s at alpha or beta
+        return (RatFun(m + 4 * x, m + 2 * x) * s
+                + RatFun((m + 2 * x) * c * f ** 2, two * x)
+                - RatFun(m * (m + 2 * x) * f ** 4, four))
     w2 = (RatFun((m + 2 * al) * (m + 2 * be) * c * f ** 2, four * al * be) * Rat(-1)
           - RatFun((m + 2 * al) * (m + 2 * be) * f ** 4, four))
-    elim = (kf1 - kf5).substitute("s", w2)
+    elim = (kf(al) - kf(be)).substitute("s", w2)
     target = RatFun(man["kfelimnum"], man["kfelimden"])
     ratio = elim / target
     run.expect("elimination yields the published combination",
                ratio.is_constant() and not ratio.is_zero(), elim.num)
     if ratio.is_constant() and not ratio.is_zero():
-        run.note("common factor", rat_str(ratio.constant_value()))
-    at_eq = elim.num.substitute("beta", MultiPoly.var("alpha"))
+        run.note("common factor", str(ratio.constant_value()))
+    at_eq = elim.num.substitute("beta", al)
     run.expect("elimination vanishes at alpha == beta", at_eq.is_zero(), at_eq)
     return run.outcome()
 
@@ -387,14 +383,12 @@ APPC_DEFAULT_SAMPLES = tuple(
 ) + ((11, 6, 1), (11, 6, -1))
 
 
-def check_appendix_c_leading(samples=None) -> CheckOutcome:
+def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     """Reduced z-polynomial elimination at sampled (m, r, c): the
     resultant is a constant times a perfect square whose root has
     z-degree 40 (39 on m = 2r-1) and whose leading coefficient divides
     the published closed form exactly."""
     run = _Run("appendix-c-leading")
-    if samples is None:
-        samples = APPC_DEFAULT_SAMPLES
     run.note("samples", len(samples))
     if len(samples) < 40:
         run.expect("at least 40 samples", False)

@@ -14,7 +14,6 @@ from .catalog import MANIFEST_TEXT
 from .checks import CHECK_NAMES, CheckOutcome, UnknownCheck, run_check
 from .parser import format_poly, load_manifest
 from .poly import VAR_NAMES
-from .ratio import rat_str
 from .sweep import (SweepConfig, UsageError, expected_exceptions,
                     report_to_dict, report_to_text, run_sweep)
 
@@ -153,7 +152,7 @@ def cmd_resultant(args) -> int:
         print("degree: (zero polynomial)")
     else:
         print(f"total degree: {res.total_degree()}")
-        print(f"leading coefficient: {rat_str(res.leading_coefficient())}")
+        print(f"leading coefficient: {res.leading_coefficient()}")
     return EXIT_OK
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .poly import VAR_INDEX, MultiPoly
-from .ratio import Rat, rat_str
+from .poly import VAR_INDEX, VAR_NAMES, MultiPoly
+from .ratio import Rat
 
 
 class ExprSyntaxError(ValueError):
@@ -179,14 +179,13 @@ def format_poly(p: MultiPoly) -> str:
     """Deterministic canonical text; parse(format_poly(p)) == p."""
     if p.is_zero():
         return "0"
-    from .poly import VAR_NAMES
     pieces = []
     for exps, coeff in p.terms():
         factors = [f"{VAR_NAMES[i]}^{e}" if e > 1 else VAR_NAMES[i]
                    for i, e in enumerate(exps) if e]
         mag = coeff if coeff > 0 else -coeff
         if not factors or mag != 1:
-            factors.insert(0, rat_str(mag))
+            factors.insert(0, str(mag))
         pieces.append((coeff > 0, "*".join(factors)))
     positive, text = pieces[0]
     out = [text if positive else f"-{text}"]

@@ -58,6 +58,14 @@ def _check_var(name: str) -> int:
         raise KeyError(f"unknown variable {name!r}; registry is {VAR_NAMES}") from None
 
 
+def _rat(value) -> Rat:
+    """int or Rat as Rat; a float would enter as its binary expansion."""
+    if not isinstance(value, (int, Rat)):
+        raise TypeError(f"coefficient must be int or Rat, not "
+                        f"{type(value).__name__}")
+    return Rat(value)
+
+
 def encode_exponents(exps: Iterable[int]) -> int:
     key = 0
     total = 0
@@ -98,7 +106,7 @@ class MultiPoly:
             for key, coeff in terms.items():
                 if not isinstance(key, int):
                     key = encode_exponents(key)
-                q = Rat(coeff)
+                q = _rat(coeff)
                 if q:
                     d[key] = q
         self._d = d
@@ -115,15 +123,13 @@ class MultiPoly:
 
     @classmethod
     def const(cls, q) -> "MultiPoly":
-        q = Rat(q)
+        q = _rat(q)
         return cls._raw({0: q} if q else {})
 
     @classmethod
     def var(cls, name: str, e: int = 1) -> "MultiPoly":
         if e < 0:
             raise ValueError("negative exponent")
-        if e == 0:
-            return cls.const(1)
         return cls._raw({_var_key(_check_var(name), e): RAT_ONE})
 
     # -- inspection ---------------------------------------------------
@@ -214,8 +220,6 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
-            if not self._d or not other._d:
-                return MultiPoly.zero()
             return MultiPoly._raw(kernels.mul_dicts(self._d, other._d, GUARD_MASK))
         if isinstance(other, (int, Rat)):
             q = Rat(other)
@@ -256,10 +260,7 @@ class MultiPoly:
         """Dense coefficient list [c_0, ..., c_deg] with the variable removed."""
         i = _check_var(name)
         sh = _SHIFTS[i]
-        deg = self.degree(name)
-        if deg < 0:
-            return []
-        buckets: list[dict] = [dict() for _ in range(deg + 1)]
+        buckets: list[dict] = [dict() for _ in range(self.degree(name) + 1)]
         for key, coeff in self._d.items():
             e = (key >> sh) & _FIELD_MASK
             buckets[e][key - ((e << sh) | (e << _DEG_SHIFT))] = coeff
@@ -279,7 +280,7 @@ class MultiPoly:
         missing = self.vars_used() - set(assignment)
         if missing:
             raise MissingAssignment(f"no value for {sorted(missing)}")
-        values = [(name, Rat(v)) for name, v in assignment.items()
+        values = [(name, _rat(v)) for name, v in assignment.items()
                   if name in VAR_INDEX]
         return subst_dict(self._d, values).get(0, RAT_ZERO)
 
@@ -290,8 +291,6 @@ class MultiPoly:
         """Exact quotient self / b; raises InexactDivision otherwise."""
         if not isinstance(b, MultiPoly) or b.is_zero():
             raise ZeroDivisor("division by zero polynomial")
-        if not self._d:
-            return MultiPoly.zero()
         if b.is_constant():
             inv = RAT_ONE / b.constant_value()
             return MultiPoly._raw({k: v * inv for k, v in self._d.items()})
@@ -575,10 +574,6 @@ class RatFun:
             den = MultiPoly.const(den)
         if den.is_zero():
             raise ZeroDivisor("rational function with zero denominator")
-        if num.is_zero():
-            self.num = MultiPoly.zero()
-            self.den = MultiPoly.const(1)
-            return
         g = gcd(num, den)
         if not g.is_constant():
             num = num.exact_div(g)

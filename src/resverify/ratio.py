@@ -11,10 +11,3 @@ RAT_BACKEND = "fractions"
 
 RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
-
-
-def rat_str(q) -> str:
-    """Canonical decimal-digit string: 'n' or 'n/d'."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"

@@ -10,6 +10,8 @@ their dehomogenisation, at the nodes +-1, +-2, ... over an exponent
 range read off the Newton polygons of the columns, and takes each sample
 by the subresultant PRS (`kernels.resultant_int`), which computes it
 for the formal degrees; `sylvester` builds the Sylvester matrix itself.
+Formal degree 0 takes the same routes: a diagonal or empty Bezout
+matrix, and f_0^n or g_0^m from the PRS.
 Rational content of the inputs is cleared before the determinant and
 reapplied as leading-coefficient-power bookkeeping, so the returned
 value is exactly the textbook resultant of the inputs.
@@ -55,7 +57,7 @@ def _sylvester_rows(a_coeffs: list, b_coeffs: list, zero) -> list[list]:
 
 def _bezout_rows(f: list, g: list, zero) -> list[list]:
     """Bezout-type rows from ascending coefficient lists f, g of formal
-    degrees m >= n >= 1: m rows of length m, ascending columns, whose
+    degrees m >= n >= 0: m rows of length m, ascending columns, whose
     determinant is the Sylvester determinant of (f, g), sign included.
 
     The rows are x^i*g for i < m - n, then for k = 1..n the coefficients
@@ -81,7 +83,9 @@ def _bezout_rows(f: list, g: list, zero) -> list[list]:
     polynomials in the coefficients, and det B = det S identically:
     also where f_m or g_n vanishes.  For formal degrees da < db, swap
     the inputs and multiply by (-1)^(da*db), the sign of moving the db
-    rows of a past the da rows of b in S."""
+    rows of a past the da rows of b in S.  For n = 0 the rows are
+    diag(g_0), of determinant g_0^m, and for m = n = 0 there are none:
+    the empty determinant is 1."""
     m, n = len(f) - 1, len(g) - 1
     shift = m - n
     rows = []
@@ -149,12 +153,6 @@ def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     if a.is_zero() or b.is_zero():
         raise ZeroInput("resultant of a zero polynomial")
     da, db = a.degree(var), b.degree(var)
-    if da == 0 and db == 0:
-        return MultiPoly.const(1)
-    if da == 0:
-        return a ** db
-    if db == 0:
-        return b ** da
     cont_a, prim_a = a.primitive()
     cont_b, prim_b = b.primitive()
     factor = cont_a ** db * cont_b ** da
@@ -213,7 +211,7 @@ def _hull(ends: list) -> tuple[int, list[tuple[int, int]]]:
 
 def _degree_bound(a: list, b: list) -> int | None:
     """Upper bound on the degree of the Sylvester determinant of formal
-    degrees len(a) - 1, len(b) - 1 >= 1 whose columns have the degrees
+    degrees len(a) - 1, len(b) - 1 >= 0 whose columns have the degrees
     a[i], b[j] (None for a zero column; the leading columns are
     nonzero); None when both constant columns are zero, so that it is
     identically zero.  The proof is in `resultant_interp`."""
@@ -340,8 +338,6 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
         raise ValueError(f"inputs must be polynomials in {{{var}, {spectator}}}; "
                          f"also saw {sorted(extra)}")
     da, db = a.degree(var), b.degree(var)
-    if da == 0 or db == 0:
-        return resultant(a, b, var)
     cont_a, terms_a = _int_terms(a, var, spectator)
     cont_b, terms_b = _int_terms(b, var, spectator)
     factor = cont_a ** db * cont_b ** da
@@ -402,8 +398,6 @@ def gcd_subresultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     handled recursively and stripped from the result."""
     if a.is_zero() or b.is_zero():
         raise ZeroInput("gcd of a zero polynomial")
-    if a.degree(var) == 0 or b.degree(var) == 0:
-        return MultiPoly.const(1)
     pp_a = a.exact_div(_content_in(a, var))
     pp_b = b.exact_div(_content_in(b, var))
     return _prs_gcd(pp_a, pp_b, var)

@@ -2,7 +2,7 @@
 
 Each case is independent (immutable inputs, one worker computes one
 case), so results are deterministic and independent of worker count;
-the report is assembled as an ordered reduction sorted by (m, r, c).
+the report lists them in grid order, which pool.map and the loop keep.
 """
 
 from __future__ import annotations
@@ -111,7 +111,6 @@ def run_case(mm: int, rr: int, cc: int, var: str,
     """One grid point: build H and K exactly and eliminate var.  A case
     that times out or raises is recorded as such, not propagated, so that
     the rest of the sweep is still reported."""
-    from .ratio import rat_str
     start = time.monotonic()
     deadline = None if not timeout_s else start + timeout_s
     spectator = "f" if var == "k" else "k"
@@ -129,7 +128,7 @@ def run_case(mm: int, rr: int, cc: int, var: str,
     if res.is_zero():
         return CaseResult(mm, rr, cc, var, True, None, None, ms)
     deg = res.degree(spectator)
-    lead = rat_str(res.coefficient(spectator, deg).constant_value())
+    lead = str(res.coefficient(spectator, deg).constant_value())
     return CaseResult(mm, rr, cc, var, False, deg, lead, ms)
 
 
@@ -149,7 +148,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             results = list(pool.map(_case_worker, args))
     else:
         results = [_case_worker(a) for a in args]
-    results.sort(key=CaseResult.key)
     exceptions = [res.key() for res in results if res.zero]
     return SweepReport(config.as_dict(), results, exceptions,
                        (time.monotonic() - start) * 1000.0)

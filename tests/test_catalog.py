@@ -275,6 +275,14 @@ class TestReduceToZ:
         with pytest.raises(DegreeTooLow, match=r"alpha\^2\*s\^1"):
             reduce_to_z(V["s"] * V["alpha"] ** 2, 1)
 
+    @pytest.mark.parametrize("p", [Z * F ** 3, Z * K * F ** 3, Z ** 2 + K ** 4],
+                             ids=["z*f^3", "z*k*f^3", "z^2+k^4"])
+    def test_input_involving_z_refused(self, p):
+        # the reduced polynomial's z exponent is k's; an existing z
+        # exponent would be overwritten, not kept
+        with pytest.raises(ValueError, match="already involves z"):
+            reduce_to_z(p, 3)
+
     def test_back_substitution_identity(self):
         for params in ((5, 3, 1), (7, 4, -1), (4, 2, 1)):
             core = build_core(params)

@@ -67,6 +67,23 @@ class TestArith:
             big * F
 
 
+class TestFloatsRefused:
+    # a float would enter as its binary expansion (0.1 as
+    # 3602879701896397/2^55): every entry point refuses it alike
+    @pytest.mark.parametrize("make", [
+        lambda: MultiPoly.const(0.1),
+        lambda: MultiPoly({(1,): 0.5}),
+        lambda: (F + 1).evaluate({"f": 0.1}),
+        lambda: RatFun(0.5),
+        lambda: (F + 1) * 0.5,
+        lambda: (F + 1) + 0.5,
+        lambda: (F + 1).substitute("f", 0.5),
+    ], ids=["const", "init", "evaluate", "ratfun", "mul", "add", "substitute"])
+    def test_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+
 class TestRatType:
     def test_normalized_on_construction(self):
         assert Rat(2, 4) == Rat(1, 2)

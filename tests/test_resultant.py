@@ -2,6 +2,8 @@
 determinants, resultants on both paths, integer interpolation, and
 subresultant gcd."""
 
+import importlib
+
 import pytest
 from conftest import (SHAPES, cofactor_det, rand_nonzero, rand_poly,
                       rand_shaped_pair)
@@ -309,6 +311,38 @@ VANISHING_PAIRS = [
     ((F - 1) * K ** 3 + F * K + F ** 2, (F - 2) * K ** 2 + (F - 1) * K + 3),
     ((F - 1) * (F - 2) * K ** 4 + K ** 2 - F, (F - 1) * K + F ** 3),
 ]
+
+
+def _content(rng) -> Rat:
+    return Rat(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+class TestFormalDegreeZero:
+    """An input free of the variable takes the general routes of both
+    resultants and of the gcd: no branch of its own."""
+
+    def test_powers_and_unit_gcd_randomized(self, rng):
+        for _ in range(300):
+            a = rand_nonzero(rng, names=("f",)) * _content(rng)
+            b = rand_nonzero(rng, names=("k", "f")) * _content(rng)
+            if rng.random() < 0.5:
+                a, b = b, a
+            da, db = a.degree("k"), b.degree("k")
+            want = a ** db if da == 0 else b ** da
+            assert resultant(a, b, "k") == want
+            assert resultant_interp(a, b, "k", "f") == want
+            assert gcd_subresultant(a, b, "k") == 1
+
+    def test_interp_never_calls_resultant(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("resultant_interp called resultant()")
+
+        module = importlib.import_module("resverify.resultant")
+        monkeypatch.setattr(module, "resultant", refuse)
+        a, b = (F + 1) * Rat(2, 3), K ** 2 - F
+        assert module.resultant_interp(a, b, "k", "f") == a ** 2
+        assert module.resultant_interp(b, a, "k", "f") == a ** 2
+        assert module.resultant_interp(a, F - 2, "k", "f") == 1
 
 
 class TestSampleBound:

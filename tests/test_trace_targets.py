@@ -71,7 +71,7 @@ def test_every_read_name_resolves():
         module, cls = path.split(".")
         have = {f.name for f in dataclasses.fields(getattr(getattr(rv, module), cls))}
         missing += [f"{path}.{name}" for name in names if name not in have]
-    # sorting by CaseResult.key, and reading it off each result
+    # reading CaseResult.key off each result
     if not callable(getattr(rv.sweep.CaseResult, "key", None)):
         missing.append("sweep.CaseResult.key")
     assert not missing
