@@ -12,6 +12,7 @@ import sys
 
 from .catalog import MANIFEST_TEXT
 from .checks import CHECK_NAMES, CheckOutcome, UnknownCheck, run_check
+from .kernels import ExponentOverflow
 from .parser import format_poly, load_manifest
 from .poly import VAR_NAMES
 from .sweep import (SweepConfig, UsageError, expected_exceptions,
@@ -134,7 +135,12 @@ def cmd_check(args) -> int:
 def cmd_resultant(args) -> int:
     from .resultant import resultant
     with _open(args.manifest, "r") as fh:
-        man = load_manifest(fh.read())
+        try:
+            man = load_manifest(fh.read())
+        except (ValueError, ExponentOverflow, RecursionError) as exc:
+            # not UTF-8, or not a manifest (RecursionError: nested too
+            # deep for the recursive-descent parser): the file is at fault
+            raise UsageError(f"{args.manifest}: {exc}") from None
     for name in (args.a, args.b):
         if name not in man:
             print(f"verify: name {name!r} not in manifest", file=sys.stderr)

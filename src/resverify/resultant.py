@@ -5,9 +5,9 @@ Sign convention: the Sylvester determinant with the rows of the first
 argument on top.  `resultant` takes the fraction-free Bareiss
 determinant (`bareiss_det`) of a Bezout-type matrix of size max(da, db),
 which has that determinant exactly (`_bezout_rows`), for constant and
-symbolic coefficients alike; `resultant_interp` samples the inputs, or
-their dehomogenisation, at the nodes +-1, +-2, ... over an exponent
-range read off the Newton polygons of the columns, and takes each sample
+symbolic coefficients alike; `resultant_interp` samples the
+dehomogenised inputs at the nodes +-1, +-2, ... over an exponent range
+read off the Newton polygons of the columns, and takes each sample
 by the subresultant PRS (`kernels.resultant_int`), which computes it
 for the formal degrees; `sylvester` builds the Sylvester matrix itself.
 Formal degree 0 takes the same routes: a diagonal or empty Bezout
@@ -266,10 +266,10 @@ def _int_terms(p: MultiPoly, var: str,
 def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
                      deadline: float | None = None) -> MultiPoly:
     """resultant(a, b, var) for bivariate inputs in (v, s) = (var,
-    spectator), by sampling one variable at integers, taking each integer
-    resultant by the subresultant PRS (`kernels.resultant_int`) and
-    interpolating in integers.  One extra sample is checked as a
-    consistency guard.
+    spectator), by sampling the dehomogenised inputs at integers, taking
+    each integer resultant by the subresultant PRS
+    (`kernels.resultant_int`) and interpolating in integers.  One extra
+    sample is checked as a consistency guard.
 
     Encoding.  Let A, B be the largest total degrees of the primitive
     inputs' terms, da, db their v-degrees, and step >= 1 the gcd of
@@ -280,26 +280,20 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     t^B give Res_v(a, b)(t) = t^top * Res_y(a~, b~)(t^-step) with
     top = A*db + B*da - da*db: the coefficient of w^e is that of
     s^(top - step*e), and every exponent of Res is congruent to top mod
-    step.  The columns (the coefficients of v^i, or of y^i) are sampled
-    in s, at x = t^step, when step is odd and their largest s-degree is
-    below their largest w-degree; else in w, at x = w.  Both take the
-    same number of samples, and the lower column degree gives the
-    smaller sample inputs: sampled in w (degree 19 against 11), the
-    z-pairs of `appendix-c-leading` ran 16% slower.  The nodes are
-    t = 1, -1, 2, -2, ..., on which x = t^stride is injective: the
-    stride is 1 in w and the odd step in s.
+    step.  The columns (the coefficients of y^i, polynomials in w) are
+    sampled at the nodes w = 1, -1, 2, -2, ....
 
-    Range (`_newton_range`, on the sampled columns a_0..a_m, b_0..b_n,
+    Range (`_newton_range`, on the columns a_0..a_m, b_0..b_n,
     polynomials in one variable, m = da, n = db; a_m and b_n are
     nonzero, since they hold the terms of v-degree da and db).  If
-    a_0 = b_0 = 0, v (or y) divides both and the determinant is
-    identically zero.  Otherwise, over the Puiseux series at infinity,
+    a_0 = b_0 = 0, y divides both and the determinant is identically
+    zero.  Otherwise, over the Puiseux series at infinity,
     Res = a_m^n*b_n^m*prod (alpha_i - beta_j) over the roots, and a root
-    of degree sigma makes two terms a_i*v^i of the top degree
+    of degree sigma makes two terms a_i*y^i of the top degree
     deg a_i + i*sigma meet: the root degrees are the negated slopes of
     the upper hull of the points (i, deg a_i), each segment holding as
     many roots as it is wide, and the first nonzero column's index
-    counts the roots v = 0 (degree -infinity).  With
+    counts the roots y = 0 (degree -infinity).  With
     deg(alpha - beta) <= max(deg alpha, deg beta),
     hi = n*deg a_m + m*deg b_n + sum_ij max(sigma_i, tau_j) bounds
     deg Res.  A segment of width p and drop d holds p roots of degree
@@ -310,14 +304,12 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     depend only on the columns' supports, and for generic coefficients
     on them no leading term cancels (with sigma = tau, the leading
     coefficients of the two roots are roots of independent face
-    polynomials), so they are the degree and order of such a resultant:
-    in s, lo and hi lie in the class of top mod step, and in w they are
-    the images (top - hi)/step, (top - lo)/step of the bounds in s.
-    The samples give values det / t^lo, an exact integer division, and
-    (hi - lo) / stride + 1 coefficients.  Every t is a valid sample:
+    polynomials), so they are the degree and order of such a resultant.
+    The samples give values det / w^lo, an exact integer division, and
+    hi - lo + 1 coefficients.  Every node is a valid sample:
     `kernels.resultant_int` returns the Sylvester determinant of the
-    formal degrees da, db, so the value is Res(t) also where a leading
-    coefficient vanishes at t (Collins 1971).  Res has integer
+    formal degrees da, db, so the value is Res(w) also where a leading
+    coefficient vanishes at w (Collins 1971).  Res has integer
     coefficients, so Newton interpolation at the integer nodes runs in
     integers with exact divisions.  A structural zero takes the guard
     sample alone, which must vanish.  For the sweep pair in k at
@@ -347,49 +339,41 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     step = math.gcd(*(big_a - d for d in degs_a),
                     *(big_b - d for d in degs_b)) or 1
     top = big_a * db + big_b * da - da * db
-    w_deg = max(big_a - min(degs_a), big_b - min(degs_b)) // step
-    s_deg = max(j for _, j, _ in terms_a + terms_b)
-    in_w = w_deg <= s_deg or not step & 1
-    width = (w_deg if in_w else s_deg) + 1
+    width = max(big_a - min(degs_a), big_b - min(degs_b)) // step + 1
 
     def columns(terms, big, deg):
         cols = [[0] * width for _ in range(deg + 1)]
         for i, j, co in terms:
-            cols[i][(big - i - j) // step if in_w else j] = co
+            cols[i][(big - i - j) // step] = co
         return cols
 
     acols, bcols = columns(terms_a, big_a, da), columns(terms_b, big_b, db)
-    stride = 1 if in_w else step
     span = _newton_range(acols, bcols)
     if span is None:
         low, count = 0, 0  # structural zero: only the guard sample
     else:
         low, high = span
-        count = (high - low) // stride + 1
+        count = high - low + 1
     nodes = [(i // 2 + 1) * (-1) ** i for i in range(count + 1)]
 
-    xs: list[int] = []
     ys: list[int] = []
-    for t in nodes:  # count coefficients, +1 consistency guard
+    for w in nodes:  # count coefficients, +1 consistency guard
         if deadline is not None and time.monotonic() > deadline:
             raise ComputationTimeout("per-case deadline expired")
         value, rest = divmod(
-            kernels.resultant_int([horner(col, t) for col in acols],
-                                  [horner(col, t) for col in bcols]),
-            t ** low)
+            kernels.resultant_int([horner(col, w) for col in acols],
+                                  [horner(col, w) for col in bcols]),
+            w ** low)
         if rest:
-            raise ArithmeticError(f"sample at {t} not divisible by {t}^{low}")
-        xs.append(t ** stride)
+            raise ArithmeticError(f"sample at {w} not divisible by {w}^{low}")
         ys.append(value)
 
-    coeffs = _newton_interpolate(xs[:-1], ys[:-1]) if count else [0]
-    if horner(coeffs, xs[-1]) != ys[-1]:
+    coeffs = _newton_interpolate(nodes[:-1], ys[:-1]) if count else [0]
+    if horner(coeffs, nodes[-1]) != ys[-1]:
         raise ArithmeticError("interpolation guard sample mismatch")
-    # coefficient i multiplies w^(low + i) = s^(top - step*(low + i)),
-    # or s^(low + step*i)
-    first, gap = (top - step * low, -step) if in_w else (low, step)
+    # coefficient i multiplies w^(low + i) = s^(top - step*(low + i))
     js = VAR_INDEX[spectator]
-    return MultiPoly({(0,) * js + (first + gap * i,): factor * co
+    return MultiPoly({(0,) * js + (top - step * (low + i),): factor * co
                       for i, co in enumerate(coeffs) if co})
 
 

@@ -50,7 +50,7 @@ def rand_graded(rng: random.Random, degrees, names=("k", "f"), extra_terms=3,
 
 
 # total degrees of the two inputs' terms; the gcd of their gaps to the
-# maxima (the stride of resultant_interp) is 0, 2, 3 and 1
+# maxima (the step of resultant_interp) is 0, 2, 3 and 1
 SHAPES = {
     "homogeneous": ([2], [3]),
     "parity": ([4, 2, 0], [3, 1]),

@@ -2,6 +2,9 @@
 details."""
 
 import dataclasses
+import hashlib
+import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -108,6 +111,25 @@ def test_appendix_c_leading_subset():
     assert out.passed, out.witness
 
 
+def test_appendix_c_leading_fails_on_odd_f_exponent(monkeypatch):
+    # a planted f^1 term: the pair is no longer even in f, so the square
+    # is not proven; the raw degree, taken in f, still holds
+    build_core = checks.build_core
+
+    def planted(params):
+        core = build_core(params)
+        return SimpleNamespace(new_h=core.new_h + MultiPoly.var("f"),
+                               new_k=core.new_k)
+
+    monkeypatch.setattr(checks, "build_core", planted)
+    out = check_appendix_c_leading(samples=[(4, 2, 1)] * 40)
+    assert not out.passed
+    assert out.detail["(4,2,1) raw degree 80"] == "ok"
+    label = "(4,2,1) primitive part is a perfect square"
+    assert out.detail[label] == "FAIL"
+    assert out.witness == label
+
+
 def test_appendix_c_leading_requires_40_samples():
     out = check_appendix_c_leading(samples=[(4, 2, 1)])
     assert not out.passed
@@ -117,3 +139,35 @@ def test_all_outcomes_have_timing():
     out = run_check("biconservative")
     assert out.elapsed_ms >= 0.0
     assert out.name == "biconservative"
+
+
+# sha256 of json.dumps([passed, witness, detail]) for each check, taken
+# while appendix-c-leading still eliminated f itself and extracted the
+# square root: every check keeps its verdict, witness and detail lines
+CHECK_DIGESTS = {
+    "res-pq":
+        "0c3fe0474fd72355a4010dd0aa019673827da314ed0913abeed7150ba7cfaa18",
+    "special-case":
+        "e7a2f41ef080b1f9d25f5a12a94dd84079bcdb3d268c8ab7b746a53f5307398e",
+    "relation1-delta":
+        "bd79f39f2cab3917dda3973ca8bc4a1f047b00b907877c790864b0777887b155",
+    "biconservative":
+        "cc307e5f922445a237de6fad8b3bfbe1215a6d97a20324bb5c7adec132758a4b",
+    "nonic":
+        "b07f9e5e44ddc42553c1beaac1cf275c90d0c3711d5f80b6e015f1d9dea2698c",
+    "mod-delta-chain":
+        "df628dc1c91e2bb8ecdf18ad917516f1bc12e53aa2f1219c691cff3814791e1c",
+    "kfconst":
+        "12e556b8d9f46b43f02584ecae5ba6611cf0222878c26727ab5743febeb69bc4",
+    "scan-factors":
+        "313a09b76cfef5c498c005082f9bca00ff8eeb4d98afd0ac00834d0d24802152",
+    "appendix-c-leading":
+        "f6778dcf391b58a0caaf79ac11f38851748412600fefcd9a536647468d4e0f6f",
+}
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_outcome_pinned(name):
+    out = run_check(name)
+    blob = json.dumps([out.passed, out.witness, out.detail]).encode()
+    assert hashlib.sha256(blob).hexdigest() == CHECK_DIGESTS[name]

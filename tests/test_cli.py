@@ -337,6 +337,28 @@ class TestCli:
         assert err.startswith("verify: [Errno ") and str(tmp_path) in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("content", [
+        b"a := f +* 2\nb := k\n",
+        b"a := k\na := f\nb := k\n",
+        b"a := k + q\nb := k\n",
+        b"a := f^40000\nb := k\n",
+        b"a := k\xff\nb := k\n",
+        b"a := " + b"(" * 5000 + b"k" + b")" * 5000 + b"\nb := k\n",
+    ], ids=["syntax-error", "duplicate-name", "unknown-name",
+            "exponent-overflow", "not-utf8", "nested-too-deep"])
+    def test_unusable_manifest_is_usage_error(self, tmp_path, capsys,
+                                              content):
+        # a file that is no manifest is the user's error (exit 2), as an
+        # unreadable one is, not an internal one (exit 3)
+        path = tmp_path / "man.txt"
+        path.write_bytes(content)
+        code = main(["resultant", "--manifest", str(path),
+                     "--a", "a", "--b", "b", "--var", "k"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"verify: {path}: ")
+        assert "internal error" not in err
+
     def test_export_manifest(self, tmp_path, capsys):
         from resverify.catalog import MANIFEST_TEXT
         out_path = tmp_path / "exported.txt"

@@ -10,6 +10,7 @@ from conftest import (SHAPES, cofactor_det, rand_nonzero, rand_poly,
 
 from resverify import kernels
 from resverify.catalog import build_core, manifest
+from resverify.checks import _in_f_squared
 from resverify.poly import MultiPoly, horner, int_coeffs, variables
 from resverify.ratio import Rat
 from resverify.resultant import (BothConstant, ZeroInput, _bezout_rows,
@@ -251,6 +252,28 @@ class TestInterpPath:
             assert via_interp == via_bareiss
             assert via_interp.is_zero() == is_zero
 
+    def test_even_pair_resultant_is_a_square(self, rng):
+        # Res_f(A(f^2), B(f^2)) = Res_f(A, B)^2: each pair of roots a, b
+        # of A, B gives four differences of +-sqrt(a), +-sqrt(b), whose
+        # product is (a - b)^2
+        for _ in range(60):
+            a, b = (rand_nonzero(rng, names=("f", "k")) for _ in range(2))
+            even_a, even_b = (horner(p.coefficients_in("f"), F ** 2)
+                              for p in (a, b))
+            assert (resultant(even_a, even_b, "f")
+                    == resultant(a, b, "f") ** 2), (a, b)
+
+    @pytest.mark.parametrize("params", [(4, 2, 1), (5, 3, 1), (8, 5, -1)])
+    def test_reduced_pair_is_the_square_of_its_u_pair(self, params):
+        # the z-pairs are even in f; with u = f^2, the elimination in f
+        # is the square of the elimination in u (m = 2r-1 at (5, 3, 1))
+        core = build_core(params)
+        halves = [_in_f_squared(p) for p in (core.new_h, core.new_k)]
+        res_u = resultant(*halves, "f")
+        assert resultant_interp(*halves, "f", "z") == res_u
+        assert (resultant_interp(core.new_h, core.new_k, "f", "z")
+                == res_u ** 2)
+
     def test_reduced_pair_z_degree(self):
         # the raw eliminations have twice the degree of their square
         # roots: 80 generically, 78 on the m = 2r-1 family
@@ -303,7 +326,8 @@ def _exponents(p, spectator="f"):
             if not co.is_zero()]
 
 
-# k-leading coefficients that vanish at the samples f = 1 and f = 2
+# k-leading coefficients that vanish at f = 1 and f = 2; dehomogenised,
+# a formal leading coefficient vanishes at the node w = 1
 VANISHING_PAIRS = [
     ((F - 1) * (F - 2) * K ** 2 + F * K + 1, (F - 1) * K + F ** 2),
     ((F - 1) * K ** 3 + (F - 3) * K + F ** 2 - 2,
@@ -360,26 +384,25 @@ class TestSampleBound:
                 assert len(det_calls) <= 2
 
     @pytest.mark.parametrize("a,b", VANISHING_PAIRS)
-    def test_vanishing_leading_coefficients(self, det_calls, a, b):
-        # the k-leading coefficients vanish at the samples f = 1 and f = 2,
+    def test_vanishing_leading_coefficients(self, samples, a, b):
+        # a formal leading coefficient vanishes at the first node, w = 1,
         # where the resultant of the formal degrees still gives Res, in
         # either argument order (the kernel swaps them when da < db)
-        for t in (1, 2):
-            assert any(p.coefficient("k", p.degree("k")).substitute("f", t)
-                       .is_zero() for p in (a, b))
         want = bareiss_det(sylvester(a, b, "k"))
         sign = (-1) ** (a.degree("k") * b.degree("k"))
-        assert resultant_interp(a, b, "k", "f") == want
-        assert len(det_calls) >= 3
-        assert resultant_interp(b, a, "k", "f") == want * sign
+        for x, y, value in ((a, b, want), (b, a, want * sign)):
+            del samples[:]
+            assert resultant_interp(x, y, "k", "f") == value
+            assert len(samples) >= 3
+            f, g = samples[0]
+            assert not f[-1] or not g[-1]
 
     @pytest.mark.parametrize("a,b", [
-        # sampled in w (w-degree 2 <= f-degree 3, step 1): the
-        # coefficient of y^2 in the dehomogenised a is 1 + w
+        # step 1: the coefficient of y^2 in the dehomogenised a is 1 + w
         ((F + 1) * K ** 2 + F ** 3 + F, F * K + F ** 2 + 1),
         # the same for b: its y-leading coefficient is 1 + w
         (K ** 3 + F ** 3 + F, (F + 1) * K + F ** 2),
-        # step 2 (w-degree 2 <= f-degree 4): a's y^2 coefficient is 1 + w
+        # step 2: a's y^2 coefficient is 1 + w
         ((F ** 2 + 1) * K ** 2 + F ** 4 + 3, F * K + 2 * F ** 2 - 5),
     ])
     def test_vanishing_dehomogenised_leading_coefficients(self, samples, a, b):
@@ -399,8 +422,8 @@ class TestSampleBound:
         (K ** 4 - 3 * F * K + 2, K ** 2 + 5),
     ])
     def test_even_step_samples_in_w(self, det_calls, a, b):
-        # step 2 and w-degree 2 above f-degree 1: sampled in w all the
-        # same, since in f the nodes x = t^2 of t and -t would coincide
+        # step 2: Res holds f-exponents of one parity only, which
+        # w = f^-2 maps to consecutive powers, one sample each
         assert resultant_interp(a, b, "k", "f") == resultant(a, b, "k")
         assert len(det_calls) >= 3
 
@@ -449,7 +472,7 @@ class TestSampleBound:
         assert resultant_interp(a, b, "k", "f") == res
 
     def test_sweep_spans(self):
-        # f-exponents 25..107 at c = +-1 (42 coefficients with stride 2),
+        # f-exponents 25..107 at c = +-1 (42 coefficients in steps of 2),
         # only 107 at c = 0; in f a structural zero (f divides H and K)
         for cc, span in ((1, (25, 107)), (-1, (25, 107)), (0, (107, 107))):
             core = build_core((15, 8, cc))
@@ -494,7 +517,7 @@ class TestSampleBound:
             assert res.substitute(spectator, t0) == resultant(h0, k0, var)
 
     def test_sweep_case_sample_counts(self, det_calls):
-        # the bound gives f-exponents 25..107 with stride 2 at c = +-1
+        # the bound gives f-exponents 25..107 in steps of 2 at c = +-1
         # (42 coefficients and the guard); only f^107 at c = 0.  Each
         # sample has the formal degrees of H and K: 8 and 11 in k, 9
         # and 12 in f
