@@ -385,7 +385,7 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     H has the total degrees {3, 5, 7, 9} in (f, k) and K has
     {4, 6, ..., 12}, so the f-exponents i + j - 3 and i + j - 4 that
     `reduce_to_z` gives to k^i f^j are even.  A pair with an odd
-    f-exponent is eliminated in f and fails the perfect-square line."""
+    f-exponent fails the perfect-square line at once."""
     run = _Run("appendix-c-leading")
     run.note("samples", len(samples))
     if len(samples) < 40:
@@ -394,18 +394,16 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     for mm, rr, cc in samples:
         tag = f"({mm},{rr},{cc})"
         core = build_core((mm, rr, cc))
-        pair = (core.new_h, core.new_k)
-        halves = [_in_f_squared(p) for p in pair]
+        halves = [_in_f_squared(p) for p in (core.new_h, core.new_k)]
         even = None not in halves
-        # Res_u for an even pair, whose square is Res_f; else Res_f
-        res = resultant_interp(*(halves if even else pair), "f", "z")
-        power = 2 if even else 1
         special = mm == 2 * rr - 1
         want_deg = 78 if special else 80
-        ok = power * res.degree("z") == want_deg
-        if not run.expect(f"{tag} raw degree {want_deg}", ok,
-                          None if ok else res ** power):
-            continue
+        if even:
+            res = resultant_interp(*halves, "f", "z")
+            ok = 2 * res.degree("z") == want_deg
+            if not run.expect(f"{tag} raw degree {want_deg}", ok,
+                              None if ok else res ** 2):
+                continue
         if not run.expect(f"{tag} primitive part is a perfect square", even):
             continue
         root = int_coeffs(res.primitive()[1], "z")

@@ -113,7 +113,7 @@ def test_appendix_c_leading_subset():
 
 def test_appendix_c_leading_fails_on_odd_f_exponent(monkeypatch):
     # a planted f^1 term: the pair is no longer even in f, so the square
-    # is not proven; the raw degree, taken in f, still holds
+    # is not proven and the sample fails before any elimination
     build_core = checks.build_core
 
     def planted(params):
@@ -124,7 +124,6 @@ def test_appendix_c_leading_fails_on_odd_f_exponent(monkeypatch):
     monkeypatch.setattr(checks, "build_core", planted)
     out = check_appendix_c_leading(samples=[(4, 2, 1)] * 40)
     assert not out.passed
-    assert out.detail["(4,2,1) raw degree 80"] == "ok"
     label = "(4,2,1) primitive part is a perfect square"
     assert out.detail[label] == "FAIL"
     assert out.witness == label

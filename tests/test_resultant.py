@@ -326,8 +326,8 @@ def _exponents(p, spectator="f"):
             if not co.is_zero()]
 
 
-# k-leading coefficients that vanish at f = 1 and f = 2; dehomogenised,
-# a formal leading coefficient vanishes at the node w = 1
+# dehomogenised, a formal leading coefficient vanishes at the first
+# node, w = 1
 VANISHING_PAIRS = [
     ((F - 1) * (F - 2) * K ** 2 + F * K + 1, (F - 1) * K + F ** 2),
     ((F - 1) * K ** 3 + (F - 3) * K + F ** 2 - 2,
