@@ -8,7 +8,8 @@ the ODE chain of the special case, the final degree-9 polynomial, the
 constant-ratio lemma displays, and the closed forms for the leading
 coefficients.  Everything that needs a derivative or a denominator in
 the parameters (K, H at integer parameters, the reduced z-polynomials)
-is constructed here from those entries.
+is constructed here from those entries by `MultiPoly` operations, on
+int coefficients where the entries' denominators are cleared first.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from . import kernels
 from .parser import Manifest, load_manifest, parse
-from .poly import (GUARD_MASK, VAR_INDEX, VAR_NAMES, MultiPoly, add_dicts,
-                   diff_dict, horner, int_coeffs, subst_dict)
+from .poly import VAR_INDEX, VAR_NAMES, MultiPoly, horner, int_coeffs
 
 MANIFEST_TEXT = """\
 # elimination sources (the coefficients of the two first-order unknowns)
@@ -161,18 +160,17 @@ def res_special_value(rr: int, cc: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _cleared_core() -> tuple[dict, int, dict, dict, int]:
+def _cleared_core() -> tuple[MultiPoly, int, MultiPoly, MultiPoly, int]:
     """(hgen, d_h, num, den, d_f): Hgen = hgen/d_h, NumDerF = num/d_f
-    and DenDerF = den/d_f with integer raw dicts hgen, num and den.
+    and DenDerF = den/d_f with integer-coefficient hgen, num and den.
     Filled by the first build_core, never at import or by manifest()."""
     man = manifest()
     hgen, d_h = man["Hgen"].cleared()
     num, d_num = man["NumDerF"].cleared()
     den, d_den = man["DenDerF"].cleared()
     d_f = math.lcm(d_num, d_den)
-    num = {key: co * (d_f // d_num) for key, co in num.items()}
-    den = {key: co * (d_f // d_den) for key, co in den.items()}
-    return hgen, d_h, num, den, d_f
+    return (MultiPoly(hgen), d_h, MultiPoly(num) * (d_f // d_num),
+            MultiPoly(den) * (d_f // d_den), d_f)
 
 
 class CoreCatalog:
@@ -183,13 +181,13 @@ class CoreCatalog:
     substitutes the integers and divides (m - r) back out, so H and K
     carry the exact rational coefficients; c None keeps c symbolic.
     The pair is built in integers: the cleared Hgen, NumDerF and
-    DenDerF (_cleared_core) take all parameter values in one subst_dict
-    pass, K = H_f*NumDerF + H_k*DenDerF is formed by integer products,
-    and each result is divided by its denominator into Rat once.
+    DenDerF (_cleared_core) take all parameter values in one pass
+    (`MultiPoly.at`), K = H_f*NumDerF + H_k*DenDerF is formed by integer
+    products, and each result is divided by its denominator once.
     """
 
     def __init__(self, params: tuple[int, int, int | None] | None = None):
-        self._values = ()
+        self._values = {}
         scale = 1
         if params is not None:
             m0, r0, c0 = params
@@ -198,23 +196,21 @@ class CoreCatalog:
                     and m0 >= 4 and 2 <= r0 <= m0 - 1
                     and c0 in (-1, 0, 1, None)):
                 raise InvalidParameters(f"bad specialization {params}")
-            self._values = (("m", m0), ("r", r0)) + (
-                () if c0 is None else (("c", c0),))
+            self._values = {"m": m0, "r": r0}
+            if c0 is not None:
+                self._values["c"] = c0
             scale = m0 - r0
         hgen, d_h, num, den, d_f = _cleared_core()
-        h = subst_dict(hgen, self._values)
-        num = subst_dict(num, self._values)
-        den = subst_dict(den, self._values)
-        k = add_dicts(kernels.mul_dicts(diff_dict(h, "f"), num, GUARD_MASK),
-                      kernels.mul_dicts(diff_dict(h, "k"), den, GUARD_MASK))
-        self.H = MultiPoly.from_cleared(h, d_h * scale)
-        self.K = MultiPoly.from_cleared(k, d_h * scale * d_f)
+        h = hgen.at(self._values)
+        k = (h.derivative("f") * num.at(self._values)
+             + h.derivative("k") * den.at(self._values))
+        self.H = h.exact_div(MultiPoly.const(d_h * scale))
+        self.K = k.exact_div(MultiPoly.const(d_h * scale * d_f))
 
     def specialize(self, p: MultiPoly) -> MultiPoly:
-        """p at this catalog's parameter values, by one integer
-        subst_dict pass; the identity in generic mode."""
-        nums, den = p.cleared()
-        return MultiPoly.from_cleared(subst_dict(nums, self._values), den)
+        """p at this catalog's parameter values, in one pass; the
+        identity in generic mode."""
+        return p.at(self._values)
 
     @property
     def new_h(self) -> MultiPoly:

@@ -16,7 +16,7 @@ from .parser import format_poly
 from .parser import parse  # noqa: F401  (perfbench/spans.py traces checks.parse)
 from .poly import (VAR_INDEX, MultiPoly, RatFun, horner, int_coeffs,
                    pseudo_division)
-from .ratio import Rat
+from .ratio import Rat, quotient
 from .resultant import gcd_subresultant, resultant, resultant_interp
 
 
@@ -183,7 +183,8 @@ def check_nonic() -> CheckOutcome:
     cleared = ((b2.derivative("f") * a2 - b2 * a2.derivative("f")) * sden
                - 2 * a2 * snum * b2 - 2 * a2 ** 2 * sden * free)
     nonic = man["nonic"]
-    ratio = cleared.leading_coefficient() / nonic.leading_coefficient()
+    ratio = quotient(cleared.leading_coefficient(),
+                     nonic.leading_coefficient())
     run.expect("cleared numerator is a constant multiple of the nonic",
                cleared == nonic * ratio, cleared)
     run.note("common rational factor", str(ratio))

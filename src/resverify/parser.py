@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .poly import VAR_INDEX, VAR_NAMES, MultiPoly
+from .poly import VAR_INDEX, VAR_NAMES, ExponentOverflow, MultiPoly
 from .ratio import Rat
 
 
@@ -213,7 +213,8 @@ class Manifest:
 
 
 def load_manifest(text: str) -> Manifest:
-    """Parse a manifest; duplicate names and undefined references reject."""
+    """Parse a manifest; duplicate names and undefined references reject.
+    Every error raised for a line says "line N" and keeps its class."""
     manifest = Manifest()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -233,6 +234,9 @@ def load_manifest(text: str) -> Manifest:
             value = parse(expr_text.strip(), manifest.values)
         except UnknownName as exc:
             raise ForwardReference(f"line {lineno}: {exc}") from exc
+        except (ExprSyntaxError, ExponentOverflow, RecursionError) as exc:
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
         manifest.names.append(name)
         manifest.values[name] = value
         manifest.sources[name] = expr_text.strip()

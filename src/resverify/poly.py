@@ -1,6 +1,9 @@
 """Exact arithmetic kernel: sparse multivariate polynomials and reduced
 rational functions over arbitrary-precision rationals.
 
+A coefficient is an int or a Rat, never a float or a bool: integers
+stay int, and every coefficient division is `ratio.quotient`.
+
 The variable registry is closed and ordered:
 
     f < k < z < m < r < c < alpha < beta < s < fp
@@ -22,7 +25,7 @@ from typing import Iterable, Iterator, Mapping
 
 from . import kernels
 from .kernels import ExponentOverflow
-from .ratio import RAT_ONE, RAT_ZERO, Rat
+from .ratio import Rat, quotient
 
 VAR_NAMES = ("f", "k", "z", "m", "r", "c", "alpha", "beta", "s", "fp")
 VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
@@ -58,12 +61,15 @@ def _check_var(name: str) -> int:
         raise KeyError(f"unknown variable {name!r}; registry is {VAR_NAMES}") from None
 
 
-def _rat(value) -> Rat:
-    """int or Rat as Rat; a float would enter as its binary expansion."""
-    if not isinstance(value, (int, Rat)):
+def _rat(value):
+    """A coefficient: an int (a bool as int) or a Rat, kept as it is; a
+    float would enter as its binary expansion and raises TypeError."""
+    if isinstance(value, int):
+        return int(value)
+    if not isinstance(value, Rat):
         raise TypeError(f"coefficient must be int or Rat, not "
                         f"{type(value).__name__}")
-    return Rat(value)
+    return value
 
 
 def encode_exponents(exps: Iterable[int]) -> int:
@@ -91,7 +97,7 @@ def _var_key(index: int, e: int) -> int:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with exact rational coefficients.
+    """Sparse multivariate polynomial with int or Rat coefficients.
 
     Values are immutable after construction: every operation returns a
     new polynomial, so instances are safe to share between workers.
@@ -106,9 +112,10 @@ class MultiPoly:
             for key, coeff in terms.items():
                 if not isinstance(key, int):
                     key = encode_exponents(key)
-                q = _rat(coeff)
-                if q:
-                    d[key] = q
+                if type(coeff) is not int:
+                    coeff = _rat(coeff)
+                if coeff:
+                    d[key] = coeff
         self._d = d
 
     @classmethod
@@ -130,7 +137,7 @@ class MultiPoly:
     def var(cls, name: str, e: int = 1) -> "MultiPoly":
         if e < 0:
             raise ValueError("negative exponent")
-        return cls._raw({_var_key(_check_var(name), e): RAT_ONE})
+        return cls._raw({_var_key(_check_var(name), e): 1})
 
     # -- inspection ---------------------------------------------------
 
@@ -145,7 +152,7 @@ class MultiPoly:
 
     def constant_value(self):
         if not self._d:
-            return RAT_ZERO
+            return 0
         if len(self._d) == 1 and 0 in self._d:
             return self._d[0]
         raise ValueError("polynomial is not constant")
@@ -205,7 +212,20 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return MultiPoly._raw(add_dicts(self._d, other._d))
+        a, b = self._d, other._d
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for key, coeff in b.items():
+            if key in out:
+                cc = out[key] + coeff
+                if cc:
+                    out[key] = cc
+                else:
+                    del out[key]
+            else:
+                out[key] = coeff
+        return MultiPoly._raw(out)
 
     __radd__ = __add__
 
@@ -222,7 +242,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             return MultiPoly._raw(kernels.mul_dicts(self._d, other._d, GUARD_MASK))
         if isinstance(other, (int, Rat)):
-            q = Rat(other)
+            q = _rat(other)
             if not q:
                 return MultiPoly.zero()
             return MultiPoly._raw({k: v * q for k, v in self._d.items()})
@@ -268,32 +288,44 @@ class MultiPoly:
 
     def substitute(self, name: str, value) -> "MultiPoly":
         """Replace a variable by a value, expanded: a number (int or Rat)
-        in one pass by subst_dict, a polynomial or rational function by
-        Horner over the coefficients in that variable."""
+        by `at`, a polynomial or rational function by Horner over the
+        coefficients in that variable."""
         if isinstance(value, (int, Rat)):
-            return MultiPoly._raw(subst_dict(self._d, ((name, value),)))
+            return self.at({name: value})
         coeffs = self.coefficients_in(name)
         return horner(coeffs, value) if coeffs else self
+
+    def at(self, values: Mapping[str, object]) -> "MultiPoly":
+        """Each variable of values replaced by its number (int or Rat),
+        all in one subst_dict pass."""
+        return MultiPoly._raw(subst_dict(
+            self._d, [(name, _rat(v)) for name, v in values.items()]))
 
     def evaluate(self, assignment: Mapping[str, object]):
         """Exact value under a full variable assignment (ring homomorphism)."""
         missing = self.vars_used() - set(assignment)
         if missing:
             raise MissingAssignment(f"no value for {sorted(missing)}")
-        values = [(name, _rat(v)) for name, v in assignment.items()
-                  if name in VAR_INDEX]
-        return subst_dict(self._d, values).get(0, RAT_ZERO)
+        return self.at({name: v for name, v in assignment.items()
+                        if name in VAR_INDEX}).constant_value()
 
     def derivative(self, name: str) -> "MultiPoly":
-        return MultiPoly._raw(diff_dict(self._d, name))
+        sh = _SHIFTS[_check_var(name)]
+        step = (1 << sh) | (1 << _DEG_SHIFT)
+        out = {}
+        for key, coeff in self._d.items():
+            e = (key >> sh) & _FIELD_MASK
+            if e:
+                out[key - step] = coeff * e
+        return MultiPoly._raw(out)
 
     def exact_div(self, b: "MultiPoly") -> "MultiPoly":
         """Exact quotient self / b; raises InexactDivision otherwise."""
         if not isinstance(b, MultiPoly) or b.is_zero():
             raise ZeroDivisor("division by zero polynomial")
         if b.is_constant():
-            inv = RAT_ONE / b.constant_value()
-            return MultiPoly._raw({k: v * inv for k, v in self._d.items()})
+            bc = b.constant_value()
+            return MultiPoly._raw({k: quotient(v, bc) for k, v in self._d.items()})
         bk, bc = b.leading()
         rem = dict(self._d)
         quot: dict = {}
@@ -307,7 +339,7 @@ class MultiPoly:
             t = key - bk
             if t < 0 or (t & GUARD_MASK):
                 raise InexactDivision("leading term not divisible")
-            qc = coeff / bc
+            qc = quotient(coeff, bc)
             quot[t] = qc
             kernels.addmul_term(rem, -qc, t, b._d, GUARD_MASK)
             for kb in b._d:
@@ -325,28 +357,23 @@ class MultiPoly:
             return False
 
     def primitive(self) -> tuple[object, "MultiPoly"]:
-        """Split p = content * prim with prim integer-coefficient, coprime
-        coefficients and positive leading coefficient; p must be nonzero."""
+        """Split p = content * prim with prim of int, coprime coefficients
+        and positive leading coefficient, content an int or a Rat; p must
+        be nonzero."""
         if not self._d:
             raise ValueError("zero polynomial has no primitive part")
         nums, den = self.cleared()
         g = math.gcd(*nums.values())
         if self.leading_coefficient() < 0:
             g = -g
-        return Rat(g, den), MultiPoly._raw({k: Rat(v // g) for k, v in nums.items()})
+        return quotient(g, den), MultiPoly._raw({k: v // g for k, v in nums.items()})
 
     def cleared(self) -> tuple[dict, int]:
         """(nums, den): the raw key -> int dict and the lcm of the
-        coefficient denominators, with self == from_cleared(nums, den)."""
+        coefficient denominators, with self == MultiPoly(nums) * Rat(1, den)."""
         den = math.lcm(*(v.denominator for v in self._d.values()))
         return {k: v.numerator * (den // v.denominator)
                 for k, v in self._d.items()}, den
-
-    @classmethod
-    def from_cleared(cls, nums: dict, den: int) -> "MultiPoly":
-        """nums / den for a raw key -> int dict without zero values; the
-        one division of an integer computation back into Rat."""
-        return cls._raw({k: Rat(v, den) for k, v in nums.items()})
 
     def __str__(self) -> str:
         from .parser import format_poly
@@ -367,35 +394,6 @@ def _coerce(value):
 def variables() -> dict[str, MultiPoly]:
     """Fresh degree-one polynomials for every registry variable."""
     return {name: MultiPoly.var(name) for name in VAR_NAMES}
-
-
-def add_dicts(a: dict, b: dict) -> dict:
-    """Sum of two raw key -> coeff dicts."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
-    for key, coeff in b.items():
-        if key in out:
-            cc = out[key] + coeff
-            if cc:
-                out[key] = cc
-            else:
-                del out[key]
-        else:
-            out[key] = coeff
-    return out
-
-
-def diff_dict(d: dict, name: str) -> dict:
-    """Derivative of a raw key -> coeff dict in one variable."""
-    sh = _SHIFTS[_check_var(name)]
-    step = (1 << sh) | (1 << _DEG_SHIFT)
-    out = {}
-    for key, coeff in d.items():
-        e = (key >> sh) & _FIELD_MASK
-        if e:
-            out[key - step] = coeff * e
-    return out
 
 
 def subst_dict(d: dict, values) -> dict:
@@ -453,8 +451,12 @@ def horner(coeffs, x):
 
 
 def int_coeffs(p: MultiPoly, var: str) -> list[int]:
-    """Ascending integer coefficients of a polynomial in var alone."""
-    return [int(ce.constant_value()) for ce in p.coefficients_in(var)] or [0]
+    """Ascending integer coefficients of a polynomial in var alone; a
+    coefficient that is not an integer raises ValueError."""
+    coeffs = [ce.constant_value() for ce in p.coefficients_in(var)] or [0]
+    if any(co.denominator != 1 for co in coeffs):
+        raise ValueError(f"{p} has a coefficient that is not an integer")
+    return [int(co) for co in coeffs]
 
 
 # -- pseudo-division and gcd ------------------------------------------
@@ -516,6 +518,7 @@ def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _normalize(a)
     if a.is_constant() or b.is_constant():
         return MultiPoly.const(1)
+    a, b = _normalize(a), _normalize(b)  # integer coefficients from here on
     used = a.vars_used() | b.vars_used()
     name = next(nm for nm in VAR_NAMES if nm in used)
     # if one input is free of the main variable the gcd divides its
@@ -579,7 +582,7 @@ class RatFun:
             num = num.exact_div(g)
             den = den.exact_div(g)
         cont, prim = den.primitive()
-        self.num = num * (RAT_ONE / cont)
+        self.num = num.exact_div(MultiPoly.const(cont))
         self.den = prim
 
     @classmethod
@@ -596,7 +599,7 @@ class RatFun:
         return self.num.is_constant() and self.den.is_constant()
 
     def constant_value(self):
-        return self.num.constant_value() / self.den.constant_value()
+        return quotient(self.num.constant_value(), self.den.constant_value())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (MultiPoly, int, Rat)):

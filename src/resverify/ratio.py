@@ -1,6 +1,7 @@
-"""Arbitrary-precision rational type: the stdlib Fraction.
+"""Coefficient numbers: int, and the stdlib Fraction as Rat.
 
-It exposes .numerator/.denominator and normalizes on construction:
+Integers stay int, and `quotient` is the one coefficient division:
+`int / int` would give a float.  A Rat normalizes on construction:
 gcd(|num|, den) == 1, den > 0, zero is 0/1.
 """
 
@@ -9,5 +10,11 @@ from fractions import Fraction
 Rat = Fraction
 RAT_BACKEND = "fractions"
 
-RAT_ZERO = Rat(0)
-RAT_ONE = Rat(1)
+
+def quotient(a, b):
+    """Exact a / b of int or Rat coefficients: an int when integral."""
+    if type(a) is int and type(b) is int:
+        q, rest = divmod(a, b)
+        return Rat(a, b) if rest else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q

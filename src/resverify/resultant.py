@@ -23,9 +23,7 @@ import math
 import time
 
 from . import kernels
-from .poly import (VAR_INDEX, MultiPoly, _content_in, _prs_gcd, decode_key,
-                   horner)
-from .ratio import Rat
+from .poly import VAR_INDEX, MultiPoly, _content_in, _prs_gcd, horner
 
 
 class ZeroInput(ValueError):
@@ -249,20 +247,6 @@ def _newton_range(acols: list[list[int]],
     return -_degree_bound(neg_a, neg_b), hi
 
 
-def _int_terms(p: MultiPoly, var: str,
-               spectator: str) -> tuple[Rat, list[tuple[int, int, int]]]:
-    """(content, terms): p = content * sum of c*var^i*spectator^j over
-    the terms (i, j, c), integers c with gcd 1."""
-    nums, den = p.cleared()
-    g = math.gcd(*nums.values())
-    iv, js = VAR_INDEX[var], VAR_INDEX[spectator]
-    terms = []
-    for key, co in nums.items():
-        exps = decode_key(key)
-        terms.append((exps[iv], exps[js], co // g))
-    return Rat(g, den), terms
-
-
 def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
                      deadline: float | None = None) -> MultiPoly:
     """resultant(a, b, var) for bivariate inputs in (v, s) = (var,
@@ -330,9 +314,11 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
         raise ValueError(f"inputs must be polynomials in {{{var}, {spectator}}}; "
                          f"also saw {sorted(extra)}")
     da, db = a.degree(var), b.degree(var)
-    cont_a, terms_a = _int_terms(a, var, spectator)
-    cont_b, terms_b = _int_terms(b, var, spectator)
+    (cont_a, prim_a), (cont_b, prim_b) = a.primitive(), b.primitive()
     factor = cont_a ** db * cont_b ** da
+    iv, js = VAR_INDEX[var], VAR_INDEX[spectator]
+    terms_a = [(e[iv], e[js], co) for e, co in prim_a.terms()]
+    terms_b = [(e[iv], e[js], co) for e, co in prim_b.terms()]
     degs_a = {i + j for i, j, _ in terms_a}
     degs_b = {i + j for i, j, _ in terms_b}
     big_a, big_b = max(degs_a), max(degs_b)
@@ -372,7 +358,6 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     if horner(coeffs, nodes[-1]) != ys[-1]:
         raise ArithmeticError("interpolation guard sample mismatch")
     # coefficient i multiplies w^(low + i) = s^(top - step*(low + i))
-    js = VAR_INDEX[spectator]
     return MultiPoly({(0,) * js + (top - step * (low + i),): factor * co
                       for i, co in enumerate(coeffs) if co})
 
@@ -382,6 +367,7 @@ def gcd_subresultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     handled recursively and stripped from the result."""
     if a.is_zero() or b.is_zero():
         raise ZeroInput("gcd of a zero polynomial")
+    a, b = a.primitive()[1], b.primitive()[1]  # integer coefficients
     pp_a = a.exact_div(_content_in(a, var))
     pp_b = b.exact_div(_content_in(b, var))
     return _prs_gcd(pp_a, pp_b, var)

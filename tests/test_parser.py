@@ -10,7 +10,7 @@ from resverify.catalog import MANIFEST_TEXT, manifest
 from resverify.parser import (DuplicateName, ExprSyntaxError, ForwardReference,
                               NegativeExponent, UnknownName, format_poly,
                               load_manifest, parse)
-from resverify.poly import MultiPoly, variables
+from resverify.poly import ExponentOverflow, MultiPoly, variables
 from resverify.ratio import Rat
 
 V = variables()
@@ -89,6 +89,9 @@ class TestFormat:
     def test_zero(self):
         assert format_poly(MultiPoly.zero()) == "0"
 
+    def test_bool_prints_as_int(self):
+        assert format_poly(MultiPoly.const(True)) == "1"
+
     def test_roundtrip_randomized(self, rng):
         for _ in range(1000):
             p = rand_poly(rng, names=("f", "k", "c"), max_terms=6, max_deg=4)
@@ -133,6 +136,15 @@ class TestManifest:
     def test_variable_name_rejected(self):
         with pytest.raises(DuplicateName):
             load_manifest("f := k")
+
+    @pytest.mark.parametrize("line, error", [
+        ("b := f +* 2", ExprSyntaxError),
+        ("b := f^40000", ExponentOverflow),
+    ], ids=["syntax-error", "exponent-overflow"])
+    def test_parse_error_names_its_line(self, line, error):
+        with pytest.raises(error, match=r"^line 2: ") as err:
+            load_manifest(f"a := f\n{line}\n")
+        assert type(err.value) is error
 
     def test_comments_and_blanks(self):
         man = load_manifest("# header\n\na := f\n  # trailing comment\n")

@@ -9,7 +9,8 @@ from conftest import (rand_nonzero, rand_poly, ref_eval, ref_from_multipoly,
 
 from resverify.poly import (MAX_EXPONENT, ExponentOverflow, InexactDivision,
                             MissingAssignment, MultiPoly, RatFun, ZeroDivisor,
-                            gcd, horner, pseudo_division, subst_dict, variables)
+                            gcd, horner, int_coeffs, pseudo_division,
+                            subst_dict, variables)
 from resverify.ratio import Rat
 
 V = variables()
@@ -97,6 +98,42 @@ class TestRatType:
         assert Rat(0, 5).numerator == 0 and Rat(0, 5).denominator == 1
 
 
+class TestCoefficientType:
+    # integers stay int; a division gives a Fraction only when the
+    # quotient is not integral, never the float of int / int
+    def test_integers_stay_int(self):
+        p = 3 * F ** 2 - K + 2
+        assert {type(co) for _, co in p.terms()} == {int}
+        assert type(MultiPoly.const(True).constant_value()) is int
+        assert type(p.evaluate({"f": 2, "k": 1})) is int
+        cont, prim = (p * Rat(2, 3)).primitive()
+        assert cont == Rat(2, 3)
+        assert {type(co) for _, co in prim.terms()} == {int}
+
+    @pytest.mark.parametrize("make", [
+        lambda: MultiPoly.const(3).exact_div(MultiPoly.const(2)).constant_value(),
+        lambda: (3 * F).exact_div(2 * F).constant_value(),
+        lambda: RatFun(MultiPoly.const(3), MultiPoly.const(2)).constant_value(),
+    ], ids=["exact-div-constant", "exact-div-term", "ratfun-constant"])
+    def test_quotient_is_fraction(self, make):
+        q = make()
+        assert q == Rat(3, 2) and type(q) is Fraction
+
+    def test_integral_quotient_is_int(self):
+        q = (6 * F).exact_div(MultiPoly.const(Rat(3, 2)))
+        assert q == 4 * F and {type(co) for _, co in q.terms()} == {int}
+
+
+class TestIntCoeffs:
+    def test_ascending(self):
+        assert int_coeffs(3 * M ** 2 - 1, "m") == [-1, 0, 3]
+        assert int_coeffs(MultiPoly.zero(), "m") == [0]
+
+    def test_fraction_raises(self):
+        with pytest.raises(ValueError):
+            int_coeffs(MultiPoly.var("m") + Rat(3, 2), "m")
+
+
 class TestEvaluate:
     def test_example(self):
         assert (F ** 2 - K ** 2).evaluate({"f": 3, "k": 2}) == 5
@@ -156,7 +193,7 @@ class TestSubstitute:
             name = rng.choice(names[1:])
             value = rng.choice((rng.randint(-3, 3), Rat(rng.randint(-3, 3), 7)))
             got = dict(p.substitute(name, value).terms())
-            assert all(type(co) is Fraction for co in got.values())
+            assert all(type(co) in (int, Fraction) for co in got.values())
             assert got == ref_subst(ref_from_multipoly(p), {name: value})
 
     def test_subst_dict_one_pass_in_int(self, rng):
@@ -167,7 +204,7 @@ class TestSubstitute:
                       "c": rng.randint(-1, 1)}
             out = subst_dict(nums, tuple(values.items()))
             assert all(type(co) is int and co for co in out.values())
-            assert dict(MultiPoly.from_cleared(out, den).terms()) == \
+            assert dict((MultiPoly(out) * Rat(1, den)).terms()) == \
                 ref_subst(ref_from_multipoly(p), values)
 
     def test_cleared_roundtrip(self, rng):
@@ -176,7 +213,7 @@ class TestSubstitute:
             nums, den = p.cleared()
             assert all(type(co) is int for co in nums.values())
             assert type(den) is int and den >= 1
-            assert MultiPoly.from_cleared(nums, den) == p
+            assert MultiPoly(nums) * Rat(1, den) == p
 
 
 class TestCoefficientDerivative:

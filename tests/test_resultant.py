@@ -220,6 +220,25 @@ class TestResultant:
         assert res.coefficient("f", 3) * 4096 == man["coefF3"]
 
 
+def test_symbolic_routines_run_on_int(monkeypatch):
+    # the Bareiss resultant of res-pq and the conic gcd of special-case
+    # multiply integer coefficients only: no Fraction reaches the kernel
+    man = manifest()
+    core = build_core((7, 4, None))
+    seen = set()
+    real = kernels.mul_dicts
+
+    def spy(a, b, guard):
+        seen.update(type(co) for co in a.values())
+        seen.update(type(co) for co in b.values())
+        return real(a, b, guard)
+
+    monkeypatch.setattr(kernels, "mul_dicts", spy)
+    resultant(man["P"], man["Q"], "k")
+    gcd_subresultant(core.H, core.K, "k")
+    assert seen == {int}
+
+
 class TestInterpPath:
     def test_agreement_randomized(self, rng):
         checked = 0
