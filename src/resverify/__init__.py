@@ -10,7 +10,7 @@ from .parser import (DuplicateName, ExprSyntaxError, ForwardReference,
                      Manifest, NegativeExponent, UnknownName, format_poly,
                      load_manifest, parse)
 from .poly import (MAX_EXPONENT, VAR_NAMES, ExponentOverflow, InexactDivision,
-                   MissingAssignment, MultiPoly, RatFun, ZeroDivisor, gcd,
+                   MissingAssignment, MultiPoly, ZeroDivisor, gcd,
                    horner, pseudo_division, variables)
 from .ratio import RAT_BACKEND, Rat
 from .resultant import (BothConstant, ComputationTimeout, ZeroInput,
@@ -27,7 +27,7 @@ __all__ = [
     "ExponentOverflow", "ExprSyntaxError", "ForwardReference",
     "InexactDivision", "InvalidParameters", "KERNEL_BACKEND", "MAX_EXPONENT",
     "Manifest", "MissingAssignment", "MultiPoly", "NegativeExponent",
-    "RAT_BACKEND", "Rat", "RatFun", "SweepConfig", "SweepReport",
+    "RAT_BACKEND", "Rat", "SweepConfig", "SweepReport",
     "UnknownCheck", "UnknownName", "UsageError", "VAR_NAMES", "ZeroDivisor",
     "ZeroInput", "bareiss_det", "build_core", "expected_exceptions",
     "format_poly", "gcd", "gcd_subresultant", "horner", "load_manifest",

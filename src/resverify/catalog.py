@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 
 from .parser import Manifest, load_manifest, parse
-from .poly import VAR_INDEX, VAR_NAMES, MultiPoly, horner, int_coeffs
+from .poly import VAR_INDEX, VAR_NAMES, MultiPoly, horner, int_coeffs, prem
 
 MANIFEST_TEXT = """\
 # elimination sources (the coefficients of the two first-order unknowns)
@@ -228,28 +228,21 @@ def build_core(params: tuple[int, int, int | None] | None = None) -> CoreCatalog
 
 
 def fp_square_to_s(p: MultiPoly) -> MultiPoly:
-    """Rewrite fp^2 -> s eagerly: fp^(2j+e) becomes s^j * fp^e.
+    """Rewrite fp^2 -> s: fp^(2j+e) becomes s^j * fp^e, the remainder of
+    p modulo the monic fp^2 - s.
 
     fp stands for the first derivative of f and s for its square; the
     polynomial kernel itself never rewrites, so chain constructions
     route their fp products through here before comparisons.
     """
-    si, fpi = VAR_INDEX["s"], VAR_INDEX["fp"]
-    terms = {}
-    for exps, coeff in p.terms():
-        e = list(exps)
-        e[si] += e[fpi] // 2
-        e[fpi] %= 2
-        key = tuple(e)
-        terms[key] = terms.get(key, 0) + coeff
-    return MultiPoly(terms)
+    return prem(p, MultiPoly.var("fp", 2) - MultiPoly.var("s"), "fp")
 
 
 def reduce_to_z(p: MultiPoly, drop: int) -> MultiPoly:
     """Map each monomial k^i f^j to z^i f^(i+j-drop).
 
     p must be free of z and every monomial of (f,k)-degree >= drop;
-    then f^drop * result(z -> k/f) == p as rational functions.
+    then p(k -> z*f) == f^drop * result.
     """
     if "z" in p.vars_used():
         raise ValueError("reduce_to_z input already involves z")

@@ -14,7 +14,7 @@ from .catalog import (build_core, closed_form_tables, dominant_coef_value,
                       fp_square_to_s, manifest, res_special_value)
 from .parser import format_poly
 from .parser import parse  # noqa: F401  (perfbench/spans.py traces checks.parse)
-from .poly import (VAR_INDEX, MultiPoly, RatFun, horner, int_coeffs,
+from .poly import (VAR_INDEX, MultiPoly, gcd, horner, int_coeffs,
                    pseudo_division)
 from .ratio import Rat, quotient
 from .resultant import gcd_subresultant, resultant, resultant_interp
@@ -163,25 +163,35 @@ def check_biconservative() -> CheckOutcome:
     return run.outcome()
 
 
+def _multiple(a: MultiPoly, b: MultiPoly):
+    """The nonzero constant q with a == q * b (the ratio of the leading
+    coefficients, checked term by term), or None."""
+    if not a or not b:
+        return None
+    q = quotient(a.leading_coefficient(), b.leading_coefficient())
+    return q if a == b * q else None
+
+
 def check_nonic() -> CheckOutcome:
     """The special-case ODE chain collapses to the published degree-9
-    polynomial up to one common rational factor."""
+    polynomial up to one common rational factor.  With s = (f')^2 = B2/A2
+    and f'' = (1/2) ds/df = (B2'*A2 - B2*A2')/(2*A2^2), the derivative
+    display clears 2*A2^2 and the nonic 2*A2^2*dfp2sden."""
     run = _Run("nonic")
     man = manifest()
     a2, b2 = man["g3p2A"], man["g3p2B"]
-    s_rat = RatFun(b2, a2)                   # s = (f')^2 as a function of f
-    fpp = s_rat.derivative("f") * Rat(1, 2)  # f'' = (1/2) ds/df
-    # consistency: the differentiated display holds with s, f'' substituted
-    lhs = RatFun(man["dfp1s"]) * s_rat + RatFun(man["dfp1fpp"]) * fpp
+    fpp_num = b2.derivative("f") * a2 - b2 * a2.derivative("f")
+    # consistency: dfp1s*s + dfp1fpp*f'' == dfp1rhs, times 2*A2^2
+    lhs = 2 * a2 * b2 * man["dfp1s"] + man["dfp1fpp"] * fpp_num
     run.expect("derivative display consistent with the chain",
-               lhs == RatFun(man["dfp1rhs"]))
+               lhs == 2 * a2 ** 2 * man["dfp1rhs"])
     # clear denominators without cancellation: over the common
     # denominator 2*A2^2*sden the combination f'' - snum/sden*s - free
     # has the numerator below (the published polynomial keeps the factor
     # that reduction would cancel)
     snum, sden, free = man["dfp2snum"], man["dfp2sden"], man["dfp2free"]
-    cleared = ((b2.derivative("f") * a2 - b2 * a2.derivative("f")) * sden
-               - 2 * a2 * snum * b2 - 2 * a2 ** 2 * sden * free)
+    cleared = (fpp_num * sden - 2 * a2 * snum * b2
+               - 2 * a2 ** 2 * sden * free)
     nonic = man["nonic"]
     ratio = quotient(cleared.leading_coefficient(),
                      nonic.leading_coefficient())
@@ -204,22 +214,26 @@ def check_nonic() -> CheckOutcome:
 def check_mod_delta_chain() -> CheckOutcome:
     """The special-case chain modulo the conic: the first display follows
     from the product identity, the two displays agree modulo delta, and
-    the normal-part coefficients reduce to the published forms."""
+    the normal-part coefficients reduce to the published forms.  The
+    Omega and Theta lines clear omegaden resp. thetaden, kprimeden and
+    k1 - k2 resp. k1 - k3; the product identity clears
+    omegaden*thetaden; the normal part clears dfp2sden and the
+    s-coefficient's denominator in lowest terms."""
     run = _Run("mod-delta-chain")
     man = manifest()
     f, k, c, s = (MultiPoly.var(n) for n in ("f", "k", "c", "s"))
     delta = man["delta"]
 
-    # derivative chain consistency: Omega = k'/(k1 - k2), Theta = k3'/(k1 - k3)
+    # derivative chain consistency: Omega = k'/(k1 - k2) and
+    # Theta = k3'/(k1 - k3), with k2 = k and k3' = 7/2 - k'
     k1, k3 = man["k1spec"], man["k3spec"]
-    om = RatFun(man["omeganum"], man["omegaden"])
-    th = RatFun(man["thetanum"], man["thetaden"])
-    kprime = RatFun(man["kprimenum"], man["kprimeden"])
-    k3prime = kprime * Rat(-1) + RatFun(MultiPoly.const(Rat(7, 2)))
+    kp_num, kp_den = man["kprimenum"], man["kprimeden"]
+    k3p_num = Rat(7, 2) * kp_den - kp_num
     run.expect("Omega display matches k2' / (k1 - k2)",
-               om == kprime / RatFun(k1 - k))
+               man["omeganum"] * kp_den * (k1 - k) == kp_num * man["omegaden"])
     run.expect("Theta display matches k3' / (k1 - k3)",
-               th == k3prime / RatFun(k1 - k3))
+               man["thetanum"] * kp_den * (k1 - k3)
+               == k3p_num * man["thetaden"])
 
     # (a) Omega*Theta + c + k2*k3 == 0 reproduces the first display;
     # the numerators carry one fp each, their product rewrites to s
@@ -227,23 +241,25 @@ def check_mod_delta_chain() -> CheckOutcome:
     prod_num = fp_square_to_s(man["omeganum"] * fp * (man["thetanum"] * fp))
     num = (prod_num
            + (c + k * k3) * man["omegaden"] * man["thetaden"])
-    a1_s_b1 = man["g3p1A"] * s - man["g3p1B"]
-    ratio = RatFun(num) / RatFun(a1_s_b1)
+    ratio = _multiple(num, man["g3p1A"] * s - man["g3p1B"])
     run.expect("product identity reproduces the first display",
-               ratio.is_constant() and not ratio.is_zero(), num)
-    if ratio.is_constant():
-        run.note("reconstruction factor", str(ratio.constant_value()))
+               ratio is not None, num)
+    if ratio is not None:
+        run.note("reconstruction factor", str(ratio))
 
     # (b) cross-multiplied displays agree modulo delta
     cross = man["g3p1A"] * man["g3p2B"] - man["g3p2A"] * man["g3p1B"]
     rem = pseudo_division(cross, delta, "k")[1]
     run.expect("A1*B2 - A2*B1 reduces to zero modulo delta", rem.is_zero(), rem)
 
-    # (c) normal part: s-coefficient reduces to 1911 f / (833 f^2 - 32 c)
-    scoef = RatFun(-3 * (man["omeganum"] * man["thetaden"]
-                         + man["thetanum"] * man["omegaden"]),
-                   man["omegaden"] * man["thetaden"])
-    cross2 = scoef.num * man["dfp2sden"] - man["dfp2snum"] * scoef.den
+    # (c) normal part: s-coefficient reduces to 1911 f / (833 f^2 - 32 c);
+    # in lowest terms first, so that no common factor can hide delta
+    sc_num = -3 * (man["omeganum"] * man["thetaden"]
+                   + man["thetanum"] * man["omegaden"])
+    sc_den = man["omegaden"] * man["thetaden"]
+    g = gcd(sc_num, sc_den)
+    cross2 = (sc_num.exact_div(g) * man["dfp2sden"]
+              - man["dfp2snum"] * sc_den.exact_div(g))
     rem2 = pseudo_division(cross2, delta, "k")[1]
     run.expect("normal-part s-coefficient reduces modulo delta",
                rem2.is_zero(), rem2)
@@ -263,7 +279,9 @@ def check_mod_delta_chain() -> CheckOutcome:
 def check_kfconst() -> CheckOutcome:
     """Constant-ratio lemma: the displayed degree-6 relation has the
     predicted dominant coefficient under both inner-coefficient variants,
-    and the three-equation elimination collapses as published."""
+    and the three-equation elimination collapses as published.  The
+    relation at x in {alpha, beta} clears den_x = 4x(m + 2x), and
+    s = w2num/(4*alpha*beta) clears 4*alpha*beta."""
     run = _Run("kfconst")
     man = manifest()
     m, al, be, c, f, s = (MultiPoly.var(n)
@@ -275,22 +293,22 @@ def check_kfconst() -> CheckOutcome:
         got = rel.coefficient("f", 6)
         run.expect(f"{label} f^6 coefficient matches", got == lead, got - lead)
 
-    two, four = MultiPoly.const(2), MultiPoly.const(4)
-
-    def kf(x: MultiPoly) -> RatFun:  # the relation in s at alpha or beta
-        return (RatFun(m + 4 * x, m + 2 * x) * s
-                + RatFun((m + 2 * x) * c * f ** 2, two * x)
-                - RatFun(m * (m + 2 * x) * f ** 4, four))
-    w2 = (RatFun((m + 2 * al) * (m + 2 * be) * c * f ** 2, four * al * be) * Rat(-1)
-          - RatFun((m + 2 * al) * (m + 2 * be) * f ** 4, four))
-    elim = (kf(al) - kf(be)).substitute("s", w2)
-    target = RatFun(man["kfelimnum"], man["kfelimden"])
-    ratio = elim / target
+    def kf(x: MultiPoly) -> MultiPoly:  # the relation at x, times den_x
+        return (4 * x * (m + 4 * x) * s + 2 * (m + 2 * x) ** 2 * c * f ** 2
+                - x * m * (m + 2 * x) ** 2 * f ** 4)
+    den_al, den_be = (4 * x * (m + 2 * x) for x in (al, be))
+    w2num = -(m + 2 * al) * (m + 2 * be) * (c * f ** 2 + al * be * f ** 4)
+    diff = den_be * kf(al) - den_al * kf(be)
+    elim = diff.coefficient("s", 1) * w2num + diff.coefficient("s", 0) * 4 * al * be
+    ratio = _multiple(elim * man["kfelimden"],
+                      man["kfelimnum"] * 4 * al * be * den_al * den_be)
     run.expect("elimination yields the published combination",
-               ratio.is_constant() and not ratio.is_zero(), elim.num)
-    if ratio.is_constant() and not ratio.is_zero():
-        run.note("common factor", str(ratio.constant_value()))
-    at_eq = elim.num.substitute("beta", al)
+               ratio is not None, elim)
+    if ratio is not None:
+        run.note("common factor", str(ratio))
+    # the cleared denominator is 4*alpha^2*den_alpha^2 != 0 at beta = alpha,
+    # so the elimination vanishes there iff its cleared numerator does
+    at_eq = elim.substitute("beta", al)
     run.expect("elimination vanishes at alpha == beta", at_eq.is_zero(), at_eq)
     return run.outcome()
 

@@ -45,6 +45,7 @@ class ForwardReference(ValueError):
 
 
 _OPS = set("+-*^/()")
+_DIGITS = set("0123456789")  # the grammar's uint is ASCII; str.isdigit is not
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -55,9 +56,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j

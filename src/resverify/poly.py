@@ -1,5 +1,6 @@
-"""Exact arithmetic kernel: sparse multivariate polynomials and reduced
-rational functions over arbitrary-precision rationals.
+"""Exact arithmetic kernel: sparse multivariate polynomials over
+arbitrary-precision rationals.  There is no rational-function type: a
+caller with a denominator multiplies it out and compares polynomials.
 
 A coefficient is an int or a Rat, never a float or a bool: integers
 stay int, and every coefficient division is `ratio.quotient`.
@@ -288,8 +289,8 @@ class MultiPoly:
 
     def substitute(self, name: str, value) -> "MultiPoly":
         """Replace a variable by a value, expanded: a number (int or Rat)
-        by `at`, a polynomial or rational function by Horner over the
-        coefficients in that variable."""
+        by `at`, a polynomial by Horner over the coefficients in that
+        variable.  To substitute a quotient num/den, clear den by hand."""
         if isinstance(value, (int, Rat)):
             return self.at({name: value})
         coeffs = self.coefficients_in(name)
@@ -443,7 +444,7 @@ def subst_dict(d: dict, values) -> dict:
 def horner(coeffs, x):
     """Value at x of the polynomial with ascending coefficients coeffs
     (nonempty).  Only * and + are used, so coefficients and x may be
-    int, Rat, MultiPoly or RatFun."""
+    int, Rat or MultiPoly."""
     acc = coeffs[-1]
     for co in reversed(coeffs[:-1]):
         acc = acc * x + co
@@ -554,125 +555,4 @@ def _prs_gcd(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
             h = (g ** delta).exact_div(h ** (delta - 1)) if delta > 1 else g
     prim = b.exact_div(_content_in(b, name))
     return _normalize(prim)
-
-
-# -- reduced rational functions ---------------------------------------
-
-
-class RatFun:
-    """Quotient of two MultiPoly in reduced canonical form.
-
-    gcd(num, den) is constant, den has integer coprime coefficients and
-    positive leading coefficient; equality is cross-multiplication.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        if not isinstance(num, MultiPoly):
-            num = MultiPoly.const(num)
-        if den is None:
-            den = MultiPoly.const(1)
-        elif not isinstance(den, MultiPoly):
-            den = MultiPoly.const(den)
-        if den.is_zero():
-            raise ZeroDivisor("rational function with zero denominator")
-        g = gcd(num, den)
-        if not g.is_constant():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        cont, prim = den.primitive()
-        self.num = num.exact_div(MultiPoly.const(cont))
-        self.den = prim
-
-    @classmethod
-    def _reduced(cls, num: MultiPoly, den: MultiPoly) -> "RatFun":
-        rf = object.__new__(cls)
-        rf.num = num
-        rf.den = den
-        return rf
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self):
-        return quotient(self.num.constant_value(), self.den.constant_value())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (MultiPoly, int, Rat)):
-            other = RatFun(_coerce(other))
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def __neg__(self) -> "RatFun":
-        return RatFun._reduced(-self.num, self.den)
-
-    def __add__(self, other) -> "RatFun":
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RatFun":
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "RatFun":
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFun":
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisor("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def derivative(self, name: str) -> "RatFun":
-        return RatFun(self.num.derivative(name) * self.den
-                      - self.num * self.den.derivative(name),
-                      self.den * self.den)
-
-    def substitute(self, name: str, value) -> "RatFun":
-        value = _coerce_rf(value)
-        return subst_ratfun(self.num, name, value) / subst_ratfun(self.den, name, value)
-
-    def __str__(self) -> str:
-        if self.den.is_constant():
-            return str(self.num.exact_div(self.den))
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFun({self})"
-
-
-def _coerce_rf(value):
-    if isinstance(value, RatFun):
-        return value
-    p = _coerce(value)
-    if p is NotImplemented:
-        return NotImplemented
-    return RatFun._reduced(p, MultiPoly.const(1))
-
-
-def subst_ratfun(p: MultiPoly, name: str, value: RatFun) -> RatFun:
-    """Substitute a rational function for a variable of a polynomial."""
-    coeffs = [_coerce_rf(ce) for ce in p.coefficients_in(name)]
-    return horner(coeffs, value) if coeffs else RatFun(MultiPoly.zero())
 

@@ -11,7 +11,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .catalog import build_core
+from .catalog import _cleared_core, build_core
 from .resultant import ComputationTimeout, resultant_interp
 
 
@@ -143,6 +143,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     args = [(mm, rr, cc, config.var, config.case_timeout)
             for (mm, rr, cc) in cases]
     if config.jobs > 1 and len(cases) > 1:
+        # fill the case-build cache here, once: forked workers inherit it
+        # instead of each clearing the entries again
+        _cleared_core()
         # a forked pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(cases))) as pool:
             results = list(pool.map(_case_worker, args))

@@ -70,6 +70,51 @@ def test_relation1_delta_fails_on_perturbed_hgen(monkeypatch, perturb,
     assert out.detail[failing] == "FAIL"
 
 
+@pytest.mark.parametrize("check,entry,failing", [
+    ("nonic", "dfp1rhs", "derivative display consistent with the chain"),
+    ("mod-delta-chain", "kprimeden", "Omega display matches k2' / (k1 - k2)"),
+    ("mod-delta-chain", "g3p1B", "product identity reproduces the first display"),
+    ("mod-delta-chain", "dfp2snum",
+     "normal-part s-coefficient reduces modulo delta"),
+    ("kfconst", "kfelimnum", "elimination yields the published combination"),
+], ids=["nonic-dfp1rhs", "omega-kprimeden", "product-g3p1B",
+        "normal-part-dfp2snum", "kfconst-kfelimnum"])
+def test_chain_check_fails_on_perturbed_entry(monkeypatch, check, entry,
+                                              failing):
+    # one more f term in one display: the cleared identity no longer holds
+    man = manifest()
+    bad = dataclasses.replace(
+        man, values={**man.values, entry: man[entry] + MultiPoly.var("f")})
+    monkeypatch.setattr(checks, "manifest", lambda: bad)
+    out = run_check(check)
+    assert not out.passed
+    assert out.detail[failing] == "FAIL"
+
+
+def test_normal_part_common_factor_cannot_hide_delta(monkeypatch):
+    # Omega's display times delta/delta: the s-coefficient's numerator and
+    # denominator share delta, which would cancel a wrong dfp2snum modulo
+    # delta unless the coefficient is put in lowest terms first
+    man = manifest()
+    delta = man["delta"]
+    bad = dataclasses.replace(man, values={
+        **man.values, "omeganum": man["omeganum"] * delta,
+        "omegaden": man["omegaden"] * delta,
+        "dfp2snum": man["dfp2snum"] + MultiPoly.var("f")})
+    monkeypatch.setattr(checks, "manifest", lambda: bad)
+    out = run_check("mod-delta-chain")
+    assert out.detail["normal-part s-coefficient reduces modulo delta"] == "FAIL"
+
+
+def test_multiple():
+    f, k = MultiPoly.var("f"), MultiPoly.var("k")
+    assert checks._multiple(-3 * f * k + 6 * k, f * k - 2 * k) == -3
+    assert checks._multiple(Rat(1, 2) * f, 3 * f) == Rat(1, 6)
+    assert checks._multiple(f + 2 * k, f + k) is None
+    assert checks._multiple(MultiPoly.zero(), f) is None
+    assert checks._multiple(f, MultiPoly.zero()) is None
+
+
 def test_biconservative():
     out = run_check("biconservative")
     assert out.passed, out.witness

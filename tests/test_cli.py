@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from resverify import sweep
+from resverify import catalog, sweep
 from resverify.cli import main
 from resverify.resultant import resultant_interp
 from resverify.sweep import (SweepConfig, UsageError, expected_exceptions,
@@ -16,6 +16,30 @@ def _failing(a, b, var, spectator, deadline=None):
     if a == sweep.build_core((4, 2, 0)).H:
         raise ArithmeticError("planted failure")
     return resultant_interp(a, b, var, spectator, deadline=deadline)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """(pool size, case-build cache entries) at each pool start; the
+    stand-in pool runs the cases in this process."""
+    starts = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            starts.append((max_workers,
+                           catalog._cleared_core.cache_info().currsize))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    return starts
 
 
 def _planting_worker(args):
@@ -107,29 +131,18 @@ class TestSweep:
         d1["config"]["jobs"] = d2["config"]["jobs"]
         assert d1 == d2
 
-    def test_pool_capped_at_case_count(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            """Runs cases in this process and records the pool size."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return map(fn, args)
-
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_capped_at_case_count(self, pool_starts):
         cfg = SweepConfig(var="k", m_lo=4, m_hi=4, c_list=(1,), jobs=100000)
         report = run_sweep(cfg)
         assert [res.key() for res in report.results] == [(4, 2, 1), (4, 3, 1)]
-        assert sizes == [2]
+        assert [size for size, _ in pool_starts] == [2]
+
+    def test_case_build_cache_filled_before_pool(self, pool_starts):
+        # forked workers inherit the cleared catalog entries instead of
+        # each clearing them again
+        catalog._cleared_core.cache_clear()
+        run_sweep(SweepConfig(var="k", m_lo=4, m_hi=4, c_list=(1,), jobs=2))
+        assert [filled for _, filled in pool_starts] == [1]
 
     def test_report_schema(self):
         cfg = SweepConfig(var="k", m_lo=7, m_hi=7, r_list=(3, 4), c_list=(1,))

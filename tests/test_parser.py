@@ -84,6 +84,11 @@ class TestParseErrors:
             parse("f + $k")
         assert err.value.offset == 4
 
+    def test_non_ascii_digit_refused(self):
+        # the grammar's uint is ASCII; str.isdigit() would take U+0663
+        with pytest.raises(ExprSyntaxError, match="unexpected character"):
+            parse("f^\u0663")
+
 
 class TestFormat:
     def test_zero(self):
@@ -140,7 +145,8 @@ class TestManifest:
     @pytest.mark.parametrize("line, error", [
         ("b := f +* 2", ExprSyntaxError),
         ("b := f^40000", ExponentOverflow),
-    ], ids=["syntax-error", "exponent-overflow"])
+        ("b := f^\u00b2", ExprSyntaxError),
+    ], ids=["syntax-error", "exponent-overflow", "non-ascii-digit"])
     def test_parse_error_names_its_line(self, line, error):
         with pytest.raises(error, match=r"^line 2: ") as err:
             load_manifest(f"a := f\n{line}\n")

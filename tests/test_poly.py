@@ -8,7 +8,7 @@ from conftest import (rand_nonzero, rand_poly, ref_eval, ref_from_multipoly,
                       ref_mul, ref_subst, ref_to_multipoly)
 
 from resverify.poly import (MAX_EXPONENT, ExponentOverflow, InexactDivision,
-                            MissingAssignment, MultiPoly, RatFun, ZeroDivisor,
+                            MissingAssignment, MultiPoly, ZeroDivisor,
                             gcd, horner, int_coeffs, pseudo_division,
                             subst_dict, variables)
 from resverify.ratio import Rat
@@ -75,11 +75,10 @@ class TestFloatsRefused:
         lambda: MultiPoly.const(0.1),
         lambda: MultiPoly({(1,): 0.5}),
         lambda: (F + 1).evaluate({"f": 0.1}),
-        lambda: RatFun(0.5),
         lambda: (F + 1) * 0.5,
         lambda: (F + 1) + 0.5,
         lambda: (F + 1).substitute("f", 0.5),
-    ], ids=["const", "init", "evaluate", "ratfun", "mul", "add", "substitute"])
+    ], ids=["const", "init", "evaluate", "mul", "add", "substitute"])
     def test_type_error(self, make):
         with pytest.raises(TypeError):
             make()
@@ -113,8 +112,7 @@ class TestCoefficientType:
     @pytest.mark.parametrize("make", [
         lambda: MultiPoly.const(3).exact_div(MultiPoly.const(2)).constant_value(),
         lambda: (3 * F).exact_div(2 * F).constant_value(),
-        lambda: RatFun(MultiPoly.const(3), MultiPoly.const(2)).constant_value(),
-    ], ids=["exact-div-constant", "exact-div-term", "ratfun-constant"])
+    ], ids=["exact-div-constant", "exact-div-term"])
     def test_quotient_is_fraction(self, make):
         q = make()
         assert q == Rat(3, 2) and type(q) is Fraction
@@ -165,7 +163,6 @@ class TestSubstitute:
         assert horner([5, 0, 2], 3) == 23
         assert horner([Rat(1, 2), Rat(1, 3)], Rat(3)) == Rat(3, 2)
         assert horner([K, 1, F], K) == F * K ** 2 + 2 * K
-        assert horner([RatFun(F), RatFun(K)], RatFun(F, K)) == RatFun(2 * F)
 
     def test_constant(self):
         assert (M * F + R).substitute("m", 7) == 7 * F + R
@@ -311,50 +308,6 @@ class TestGcd:
             a, b = rand_nonzero(rng), rand_nonzero(rng)
             g = gcd(a, b)
             assert g.divides(a) and g.divides(b)
-
-
-class TestRatFun:
-    def test_reduction(self):
-        rf = RatFun(F ** 2 - K ** 2, F - K)
-        assert rf.num == F + K
-        assert rf.den == MultiPoly.const(1)
-
-    def test_p_over_p(self, rng):
-        for _ in range(50):
-            p = rand_nonzero(rng)
-            rf = RatFun(p, p)
-            assert rf.is_constant() and rf.constant_value() == 1
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisor):
-            RatFun(F, MultiPoly.zero())
-
-    def test_cross_multiplication_equality(self):
-        assert RatFun(2 * F, 2 * K) == RatFun(F, K)
-
-    def test_den_positive_leading(self, rng):
-        for _ in range(50):
-            num, den = rand_poly(rng), rand_nonzero(rng)
-            rf = RatFun(num, den)
-            assert rf.den.leading_coefficient() > 0
-            assert gcd(rf.num, rf.den).is_constant() or rf.num.is_zero()
-
-    def test_field_operations(self):
-        half = RatFun(MultiPoly.const(1), MultiPoly.const(2))
-        x = RatFun(F, K)
-        assert x + x == RatFun(2 * F, K)
-        assert x * half / half == x
-        assert (x - x).is_zero()
-
-    def test_derivative_quotient_rule(self):
-        rf = RatFun(F ** 2, K)
-        d = rf.derivative("f")
-        assert d == RatFun(2 * F, K)
-
-    def test_substitute_ratfun(self):
-        rf = RatFun(F + K, K)
-        out = rf.substitute("f", RatFun(MultiPoly.const(1), K))
-        assert out == RatFun(1 + K ** 2, K ** 2)
 
 
 class TestImmutability:
