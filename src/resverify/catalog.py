@@ -18,7 +18,8 @@ import math
 from functools import lru_cache
 
 from .parser import Manifest, load_manifest, parse
-from .poly import VAR_INDEX, VAR_NAMES, MultiPoly, horner, int_coeffs, prem
+from .poly import DegreeTooLow  # noqa: F401  (raised by reduce_to_z)
+from .poly import MultiPoly, horner, int_coeffs, prem
 
 MANIFEST_TEXT = """\
 # elimination sources (the coefficients of the two first-order unknowns)
@@ -89,10 +90,6 @@ kfelimden := alpha*beta
 class InvalidParameters(ValueError):
     """Specialization (m, r, c) other than int m >= 4, int 2 <= r <= m-1
     and c in {-1, 0, 1, None}; bool is not taken for int."""
-
-
-class DegreeTooLow(ValueError):
-    """reduce_to_z saw a monomial of (f,k)-degree below the drop."""
 
 
 @lru_cache(maxsize=1)
@@ -244,21 +241,4 @@ def reduce_to_z(p: MultiPoly, drop: int) -> MultiPoly:
     p must be free of z and every monomial of (f,k)-degree >= drop;
     then p(k -> z*f) == f^drop * result.
     """
-    if "z" in p.vars_used():
-        raise ValueError("reduce_to_z input already involves z")
-    fi, ki, zi = VAR_INDEX["f"], VAR_INDEX["k"], VAR_INDEX["z"]
-    terms = {}
-    for exps, coeff in p.terms():
-        ef, ek = exps[fi], exps[ki]
-        if ef + ek < drop:
-            mono = "*".join(f"{nm}^{e}" for nm, e in
-                            zip(VAR_NAMES, exps) if e)
-            raise DegreeTooLow(f"monomial {mono or '1'} has (f,k)-degree "
-                               f"{ef + ek} < drop {drop}")
-        new = list(exps)
-        new[fi] = ef + ek - drop
-        new[ki] = 0
-        new[zi] = ek
-        key = tuple(new)
-        terms[key] = terms.get(key, 0) + coeff
-    return MultiPoly(terms)
+    return p.substitute_slope("k", "z", "f", drop)

@@ -7,6 +7,7 @@ offending polynomial as a witness.  No floating point anywhere.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -14,8 +15,7 @@ from .catalog import (build_core, closed_form_tables, dominant_coef_value,
                       fp_square_to_s, manifest, res_special_value)
 from .parser import format_poly
 from .parser import parse  # noqa: F401  (perfbench/spans.py traces checks.parse)
-from .poly import (VAR_INDEX, MultiPoly, gcd, horner, int_coeffs,
-                   pseudo_division)
+from .poly import MultiPoly, gcd, horner, int_coeffs, pseudo_division
 from .ratio import Rat, quotient
 from .resultant import gcd_subresultant, resultant, resultant_interp
 
@@ -313,20 +313,47 @@ def check_kfconst() -> CheckOutcome:
     return run.outcome()
 
 
+def integer_roots(coeffs) -> set[int]:
+    """The integer roots of the nonzero polynomial with ascending integer
+    coefficients coeffs.  By the rational root theorem an integer root
+    is 0 or divides the lowest nonzero coefficient, so only 0 and those
+    divisors, found by trial division up to its square root, and their
+    negatives are tried."""
+    low = next((i for i, co in enumerate(coeffs) if co), None)
+    if low is None:
+        raise ValueError("the zero polynomial vanishes at every integer")
+    roots = {0} if low else set()
+    rest = coeffs[low:]
+    a0 = abs(rest[0])
+    for d in range(1, math.isqrt(a0) + 1):
+        if not a0 % d:
+            roots.update(x for x in (d, -d, a0 // d, -(a0 // d))
+                         if not horner(rest, x))
+    return roots
+
+
 def scan_dominant_factors(m_max: int = 10000) -> CheckOutcome:
     """Exact integer scan: the leading-coefficient closed form vanishes
     on 4 <= m <= m_max, 2 <= r <= m-1 exactly on {m=7} u {m=10} u
-    {m=2r-1}; the m=2r-1 form vanishes exactly at r in {2, 4}."""
+    {m=2r-1}; the m=2r-1 form vanishes exactly at r in {2, 4}.
+
+    A product vanishes iff a factor does.  The m-factors and the
+    factors of the m=2r-1 form are solved once, over all integers
+    (`integer_roots`), so what they show holds for every integer: the
+    m-factors vanish at no m >= 4 but 7 and 10, and the m=2r-1 form at
+    no r >= 2 but 2 and 4.  Each r-factor a(m) + b*r is solved for r at
+    every m up to m_max: that part of the first line is a scan."""
     run = _Run("scan-factors")
-    if m_max < 30:
+    # bool is an int subclass and 60.0 == 60: both are refused
+    if type(m_max) is not int or m_max < 30:
         run.expect("m_max >= 30", False)
         return run.outcome()
-    # a product vanishes iff a factor does; each r-factor is a(m) + b*r
-    m_factors, r_factors, _ = closed_form_tables()
+    m_factors, r_factors, special = closed_form_tables()
+    m_roots = set().union(*(integer_roots(co) for co, _ in m_factors))
     bad = None
     zero_pairs = 0
     for mm in range(4, m_max + 1):
-        if any(not horner(co, mm) for co, _ in m_factors):
+        if mm in m_roots:
             zero = set(range(2, mm))
         else:
             zero = set()
@@ -347,27 +374,15 @@ def scan_dominant_factors(m_max: int = 10000) -> CheckOutcome:
     run.note("pairs scanned", sum(max(0, mm - 2) for mm in range(4, m_max + 1)))
     run.note("vanishing pairs", zero_pairs)
 
-    bad_r = []
-    for rr in range(2, (m_max + 1) // 2 + 1):
-        value = res_special_value(rr, 1)
-        if (value == 0) != (rr in (2, 4)):
-            bad_r.append(rr)
+    # the m=2r-1 form is a nonzero constant times c^12 times the factors;
+    # m <= m_max gives 2 <= r <= (m_max + 1) // 2, which holds 2 and 4
+    r_hi = (m_max + 1) // 2
+    r_roots = set().union(*(integer_roots(co) for co, _ in special))
+    bad_r = sorted({rr for rr in r_roots if 2 <= rr <= r_hi} ^ {2, 4})
     run.expect("m=2r-1 form vanishes exactly at r in {2, 4}", not bad_r,
                f"mismatch at r in {bad_r[:5]}" if bad_r else None)
     run.note("c dependence", "c^12, nonzero for c in {-1, 1}")
     return run.outcome()
-
-
-def _in_f_squared(p: MultiPoly) -> MultiPoly | None:
-    """q with p(f) = q(f^2): p with its f-exponents halved, or None when
-    p has an odd f-exponent."""
-    fi = VAR_INDEX["f"]
-    terms = {}
-    for exps, co in p.terms():
-        if exps[fi] % 2:
-            return None
-        terms[exps[:fi] + (exps[fi] // 2,) + exps[fi + 1:]] = co
-    return MultiPoly(terms)
 
 
 # default sample grid: all admissible (m, r) for a few small dimensions
@@ -413,7 +428,7 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     for mm, rr, cc in samples:
         tag = f"({mm},{rr},{cc})"
         core = build_core((mm, rr, cc))
-        halves = [_in_f_squared(p) for p in (core.new_h, core.new_k)]
+        halves = [p.halve_exponents("f") for p in (core.new_h, core.new_k)]
         even = None not in halves
         special = mm == 2 * rr - 1
         want_deg = 78 if special else 80

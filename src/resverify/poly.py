@@ -55,6 +55,11 @@ class InexactDivision(ArithmeticError):
     """exact_div() called on a non-multiple."""
 
 
+class DegreeTooLow(ValueError):
+    """substitute_slope saw a monomial whose degree in its two variables
+    is below the drop."""
+
+
 def _check_var(name: str) -> int:
     try:
         return VAR_INDEX[name]
@@ -165,6 +170,13 @@ class MultiPoly:
         """Yield (exponent tuple, coefficient) in descending graded-lex order."""
         for key in sorted(self._d, reverse=True):
             yield decode_key(key), self._d[key]
+
+    def exponents(self, *names: str) -> Iterator[tuple[tuple[int, ...], object]]:
+        """Yield (exponents of names, coefficient) for every term, in no
+        set order; the other variables' exponents are not read."""
+        shifts = [_SHIFTS[_check_var(name)] for name in names]
+        for key, coeff in self._d.items():
+            yield tuple((key >> sh) & _FIELD_MASK for sh in shifts), coeff
 
     def vars_used(self) -> set[str]:
         used = 0
@@ -318,6 +330,53 @@ class MultiPoly:
             e = (key >> sh) & _FIELD_MASK
             if e:
                 out[key - step] = coeff * e
+        return MultiPoly._raw(out)
+
+    def halve_exponents(self, name: str) -> "MultiPoly | None":
+        """q with self == q.substitute(name, name^2): every exponent of
+        the variable halved; None when one of them is odd."""
+        sh = _SHIFTS[_check_var(name)]
+        unit = (1 << sh) | (1 << _DEG_SHIFT)
+        out = {}
+        for key, coeff in self._d.items():
+            e = (key >> sh) & _FIELD_MASK
+            if e & 1:
+                return None
+            out[key - (e >> 1) * unit] = coeff
+        return MultiPoly._raw(out)
+
+    def substitute_slope(self, var: str, new: str, base: str,
+                         drop: int) -> "MultiPoly":
+        """self(var -> new*base) / base^drop, monomial by monomial:
+        var^i base^j becomes new^i base^(i+j-drop).  self must be free of
+        new, and every monomial must have (base,var)-degree >= drop;
+        DegreeTooLow names the first one that has not."""
+        iv, inew, ib = (_check_var(name) for name in (var, new, base))
+        if len({iv, inew, ib}) != 3:
+            raise ValueError("var, new and base must be three variables")
+        if drop < 0:
+            raise ValueError("negative drop")
+        sv, sn, sb = _SHIFTS[iv], _SHIFTS[inew], _SHIFTS[ib]
+        unit_b = (1 << sb) | (1 << _DEG_SHIFT)
+        # per unit of i: var field -1, new field +1, base and total +1
+        step = (1 << sn) - (1 << sv) + unit_b
+        strip = drop * unit_b
+        if any((key >> sn) & _FIELD_MASK for key in self._d):
+            raise ValueError(f"substitution input already involves {new}")
+        out = {}
+        for key, coeff in self._d.items():
+            i = (key >> sv) & _FIELD_MASK
+            if i + ((key >> sb) & _FIELD_MASK) < drop:
+                exps = decode_key(key)
+                mono = "*".join(f"{nm}^{e}" for nm, e in zip(VAR_NAMES, exps) if e)
+                raise DegreeTooLow(f"monomial {mono or '1'} has ({base},{var})-"
+                                   f"degree {exps[ib] + exps[iv]} < drop {drop}")
+            # every field of the result lies in [0, 2^16): no borrow
+            key += i * step - strip
+            if key & GUARD_MASK:
+                raise ExponentOverflow(f"total degree {key >> _DEG_SHIFT} "
+                                       f"outside [0, {MAX_EXPONENT}]")
+            out[key] = coeff
         return MultiPoly._raw(out)
 
     def exact_div(self, b: "MultiPoly") -> "MultiPoly":

@@ -316,11 +316,10 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     da, db = a.degree(var), b.degree(var)
     (cont_a, prim_a), (cont_b, prim_b) = a.primitive(), b.primitive()
     factor = cont_a ** db * cont_b ** da
-    iv, js = VAR_INDEX[var], VAR_INDEX[spectator]
-    terms_a = [(e[iv], e[js], co) for e, co in prim_a.terms()]
-    terms_b = [(e[iv], e[js], co) for e, co in prim_b.terms()]
-    degs_a = {i + j for i, j, _ in terms_a}
-    degs_b = {i + j for i, j, _ in terms_b}
+    terms_a = list(prim_a.exponents(var, spectator))
+    terms_b = list(prim_b.exponents(var, spectator))
+    degs_a = {i + j for (i, j), _ in terms_a}
+    degs_b = {i + j for (i, j), _ in terms_b}
     big_a, big_b = max(degs_a), max(degs_b)
     step = math.gcd(*(big_a - d for d in degs_a),
                     *(big_b - d for d in degs_b)) or 1
@@ -329,7 +328,7 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
 
     def columns(terms, big, deg):
         cols = [[0] * width for _ in range(deg + 1)]
-        for i, j, co in terms:
+        for (i, j), co in terms:
             cols[i][(big - i - j) // step] = co
         return cols
 
@@ -358,6 +357,7 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     if horner(coeffs, nodes[-1]) != ys[-1]:
         raise ArithmeticError("interpolation guard sample mismatch")
     # coefficient i multiplies w^(low + i) = s^(top - step*(low + i))
+    js = VAR_INDEX[spectator]
     return MultiPoly({(0,) * js + (top - step * (low + i),): factor * co
                       for i, co in enumerate(coeffs) if co})
 

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from collections import Counter
+
 import pytest
 from conftest import (ref_add, ref_diff, ref_eval, ref_from_multipoly, ref_mul,
                       ref_scale, ref_subst)
@@ -18,7 +20,7 @@ from resverify.catalog import (DegreeTooLow, InvalidParameters, build_core,
                                dominant_coef_value, manifest, reduce_to_z,
                                res_special_value)
 from resverify.parser import parse
-from resverify.poly import MultiPoly, variables
+from resverify.poly import VAR_INDEX, MultiPoly, variables
 from resverify.ratio import Rat
 
 V = variables()
@@ -287,6 +289,42 @@ class TestReduceToZ:
             # new_h(k/f, f) * f^3 == H, with the powers of f cleared
             assert core.H.substitute("k", Z * F) == F ** 3 * core.new_h
             assert core.K.substitute("k", Z * F) == F ** 4 * core.new_k
+
+    @pytest.mark.parametrize("params", [None, (9, 4, 1)],
+                             ids=["generic", "9-4-1"])
+    def test_packed_keys_match_decoded_definitions(self, params):
+        # reduce_to_z, the f-halving of appendix-c-leading and the
+        # exponent read of resultant_interp work on the packed keys; the
+        # definitions below go through the decoded exponent tuples
+        fi, ki, zi = VAR_INDEX["f"], VAR_INDEX["k"], VAR_INDEX["z"]
+
+        def reduce_decoded(p, drop):
+            terms = {}
+            for exps, co in p.terms():
+                new = list(exps)
+                new[fi], new[ki], new[zi] = exps[fi] + exps[ki] - drop, 0, exps[ki]
+                terms[tuple(new)] = terms.get(tuple(new), 0) + co
+            return MultiPoly(terms)
+
+        def halve_decoded(p):
+            if any(exps[fi] % 2 for exps, _ in p.terms()):
+                return None
+            return MultiPoly({exps[:fi] + (exps[fi] // 2,) + exps[fi + 1:]: co
+                              for exps, co in p.terms()})
+
+        core = build_core(params)
+        for p, drop in ((core.H, 3), (core.K, 4)):
+            assert p == MultiPoly(dict(p.terms()))
+            reduced = reduce_to_z(p, drop)
+            assert reduced == reduce_decoded(p, drop)
+            assert reduced == MultiPoly(dict(reduced.terms()))
+            half = reduced.halve_exponents("f")
+            assert half is not None
+            assert half == halve_decoded(reduced)
+            assert half == MultiPoly(dict(half.terms()))
+            assert (Counter(half.exponents("f", "z"))
+                    == Counter(((exps[fi], exps[zi]), co)
+                               for exps, co in half.terms()))
 
     def test_reduced_degrees(self):
         core = build_core((5, 3, 1))

@@ -7,12 +7,15 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resverify import checks
-from resverify.catalog import manifest
+from resverify.catalog import closed_form_tables, manifest
 from resverify.checks import (CHECK_NAMES, UnknownCheck,
-                              check_appendix_c_leading, run_check)
-from resverify.poly import MultiPoly
+                              check_appendix_c_leading, integer_roots,
+                              run_check)
+from resverify.poly import MultiPoly, horner
 from resverify.ratio import Rat
 
 
@@ -147,6 +150,83 @@ def test_scan_factors_small_range():
 def test_scan_factors_rejects_tiny_range():
     out = run_check("scan-factors", m_max=10)
     assert not out.passed
+
+
+@pytest.mark.parametrize("m_max", [60.0, True, "60"],
+                         ids=["float", "bool", "str"])
+def test_scan_factors_rejects_non_int_range(m_max):
+    # bool is an int subclass and 60.0 == 60: only the type tells them apart
+    out = run_check("scan-factors", m_max=m_max)
+    assert not out.passed
+    assert out.detail == {"m_max >= 30": "FAIL"}
+    assert out.witness == "m_max >= 30"
+
+
+def _brute_roots(coeffs, bound):
+    return {x for x in range(-bound, bound + 1) if not horner(coeffs, x)}
+
+
+def test_integer_roots_of_the_factor_tables():
+    m_factors, _, special = closed_form_tables()
+    for co, _ in m_factors + special:
+        assert integer_roots(co) == _brute_roots(co, 20000), co
+    # m >= 4 and r >= 2 leave {7, 10} and {2, 4}
+    assert set().union(*(integer_roots(co) for co, _ in m_factors)) == {
+        -5, 0, 1, 3, 7, 10}
+    assert set().union(*(integer_roots(co) for co, _ in special)) == {
+        -2, 1, 2, 4}
+
+
+def _expand(roots, cofactor):
+    coeffs = list(cofactor)
+    for root in roots:  # times (x - root)
+        coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=3),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(
+           lambda co: co[-1] != 0),
+       st.integers(0, 2))
+def test_integer_roots_match_brute_force(roots, cofactor, zeros):
+    coeffs = [0] * zeros + _expand(roots, cofactor)
+    # Cauchy: every root has |x| <= 1 + max |a_i| / |a_n|
+    bound = 1 + max(abs(co) for co in coeffs) // abs(coeffs[-1])
+    got = integer_roots(coeffs)
+    assert got == _brute_roots(coeffs, bound)
+    assert set(roots) <= got
+    assert (0 in got) == (zeros > 0 or 0 in roots or cofactor[0] == 0)
+
+
+def test_integer_roots_of_zero_refused():
+    with pytest.raises(ValueError, match="every integer"):
+        integer_roots([0, 0])
+
+
+def _plant(monkeypatch, m_factor=(), special_factor=()):
+    m_factors, r_factors, special = closed_form_tables()
+    monkeypatch.setattr(checks, "closed_form_tables", lambda: (
+        m_factors + m_factor, r_factors, special + special_factor))
+
+
+def test_scan_factors_fails_on_planted_m_factor(monkeypatch):
+    # (m - 12)*(2*m + 1): a root at m = 12, where no r-factor vanishes
+    _plant(monkeypatch, m_factor=(((-12, -23, 2), 1),))
+    out = run_check("scan-factors", m_max=60)
+    assert not out.passed
+    assert out.detail["vanishing set is {m=7} u {m=10} u {m=2r-1}"] == "FAIL"
+    assert out.witness == "first mismatch at m=12"
+
+
+def test_scan_factors_fails_on_planted_special_factor(monkeypatch):
+    # (r - 6)*(3*r + 2): the m=2r-1 form would also vanish at r = 6
+    _plant(monkeypatch, special_factor=(((-12, -16, 3), 1),))
+    out = run_check("scan-factors", m_max=60)
+    assert not out.passed
+    assert out.detail["vanishing set is {m=7} u {m=10} u {m=2r-1}"] == "ok"
+    assert out.detail["m=2r-1 form vanishes exactly at r in {2, 4}"] == "FAIL"
+    assert out.witness == "mismatch at r in [6]"
 
 
 def test_appendix_c_leading_subset():

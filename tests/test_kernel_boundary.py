@@ -1,9 +1,10 @@
-"""Only `poly` and `kernels` touch the packed term dicts.
+"""Only `poly` and `kernels` touch the packed term dicts and keys.
 
 Every other package module works through `MultiPoly` operations: it
-references none of the raw-dict names below, as a name, an attribute,
-an import or an identifier string.  A raw-dict side path beside
-`MultiPoly` (an integer one, say) would have to reach for them.
+references none of the raw-dict or key-layout names below, as a name,
+an attribute, an import or an identifier string.  A raw-dict side path
+beside `MultiPoly` (an integer one, say), or exponent arithmetic on the
+packed keys, would have to reach for them.
 """
 
 import ast
@@ -12,7 +13,7 @@ from test_unused_helpers import PACKAGE, _references
 
 RAW_NAMES = {"_d", "_raw", "GUARD_MASK", "add_dicts", "diff_dict",
              "subst_dict", "mul_dicts", "addmul_term", "decode_key",
-             "encode_exponents"}
+             "encode_exponents", "_SHIFTS", "_DEG_SHIFT", "_FIELD_MASK"}
 OWNERS = {"poly.py", "kernels.py"}
 
 

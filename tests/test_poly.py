@@ -2,19 +2,21 @@
 gcd, and rational functions."""
 
 import pytest
+from collections import Counter
 from fractions import Fraction
 
 from conftest import (rand_nonzero, rand_poly, ref_eval, ref_from_multipoly,
                       ref_mul, ref_subst, ref_to_multipoly)
 
-from resverify.poly import (MAX_EXPONENT, ExponentOverflow, InexactDivision,
+from resverify.poly import (MAX_EXPONENT, VAR_INDEX, DegreeTooLow,
+                            ExponentOverflow, InexactDivision,
                             MissingAssignment, MultiPoly, ZeroDivisor,
                             gcd, horner, int_coeffs, pseudo_division,
                             subst_dict, variables)
 from resverify.ratio import Rat
 
 V = variables()
-F, K, M, R, C = V["f"], V["k"], V["m"], V["r"], V["c"]
+F, K, M, R, C, Z = V["f"], V["k"], V["m"], V["r"], V["c"], V["z"]
 
 
 class TestArith:
@@ -233,6 +235,52 @@ class TestCoefficientDerivative:
             p, q = rand_poly(rng), rand_poly(rng)
             lhs = (p * q).derivative("f")
             assert lhs == p * q.derivative("f") + q * p.derivative("f")
+
+
+class TestMonomialReshapes:
+    """exponents, halve_exponents and substitute_slope work on the packed
+    keys; each agrees with the decoded terms or with substitute."""
+
+    def test_exponents_match_decoded_terms(self, rng):
+        names = ("f", "k", "c", "s")
+        for _ in range(100):
+            p = rand_poly(rng, names=names)
+            pick = rng.sample(names, rng.randint(1, 3))
+            want = Counter((tuple(exps[VAR_INDEX[nm]] for nm in pick), co)
+                           for exps, co in p.terms())
+            assert Counter(p.exponents(*pick)) == want
+
+    def test_halve_exponents_inverts_squaring(self, rng):
+        for _ in range(100):
+            q = rand_poly(rng, names=("f", "k", "c"))
+            p = q.substitute("f", F ** 2)
+            half = p.halve_exponents("f")
+            assert half == q
+            assert half == MultiPoly(dict(half.terms()))  # total degree kept
+            if q:
+                assert (p * F).halve_exponents("f") is None
+        assert (F ** 4 + F).halve_exponents("f") is None
+
+    def test_substitute_slope_matches_substitute(self, rng):
+        for _ in range(100):
+            drop = rng.randint(0, 3)
+            p = rand_poly(rng, names=("f", "k", "c")) * F ** drop
+            got = p.substitute_slope("k", "z", "f", drop)
+            assert F ** drop * got == p.substitute("k", Z * F)
+            assert got == MultiPoly(dict(got.terms()))  # total degree kept
+
+    def test_substitute_slope_refusals(self):
+        with pytest.raises(DegreeTooLow, match=r"monomial c\^1 has \(f,k\)-degree 0"):
+            (F * K + C).substitute_slope("k", "z", "f", 1)
+        with pytest.raises(ValueError, match="already involves z"):
+            (Z * F).substitute_slope("k", "z", "f", 0)
+        with pytest.raises(ValueError, match="three variables"):
+            F.substitute_slope("k", "k", "f", 0)
+        with pytest.raises(ValueError, match="negative drop"):
+            F.substitute_slope("k", "z", "f", -1)
+        # k^i adds i to the total degree: 32000 + 20000 overflows
+        with pytest.raises(ExponentOverflow):
+            (K ** 20000 * C ** 12000).substitute_slope("k", "z", "f", 0)
 
 
 class TestPseudoDivision:

@@ -10,7 +10,6 @@ from conftest import (SHAPES, cofactor_det, rand_nonzero, rand_poly,
 
 from resverify import kernels
 from resverify.catalog import build_core, manifest
-from resverify.checks import _in_f_squared
 from resverify.poly import MultiPoly, horner, int_coeffs, variables
 from resverify.ratio import Rat
 from resverify.resultant import (BothConstant, ZeroInput, _bezout_rows,
@@ -287,7 +286,7 @@ class TestInterpPath:
         # the z-pairs are even in f; with u = f^2, the elimination in f
         # is the square of the elimination in u (m = 2r-1 at (5, 3, 1))
         core = build_core(params)
-        halves = [_in_f_squared(p) for p in (core.new_h, core.new_k)]
+        halves = [p.halve_exponents("f") for p in (core.new_h, core.new_k)]
         res_u = resultant(*halves, "f")
         assert resultant_interp(*halves, "f", "z") == res_u
         assert (resultant_interp(core.new_h, core.new_k, "f", "z")
