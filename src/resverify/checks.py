@@ -11,13 +11,16 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from . import poly
 from .catalog import (build_core, closed_form_tables, dominant_coef_value,
                       fp_square_to_s, manifest, res_special_value)
 from .parser import format_poly
 from .parser import parse  # noqa: F401  (perfbench/spans.py traces checks.parse)
-from .poly import MultiPoly, gcd, horner, int_coeffs, pseudo_division
+from .poly import (InexactDivision, MultiPoly, horner, int_coeffs,
+                   pseudo_division)
 from .ratio import Rat, quotient
-from .resultant import gcd_subresultant, resultant, resultant_interp
+from .resultant import (gcd_subresultant, resultant, resultant_at,
+                        resultant_interp)
 
 
 class UnknownCheck(KeyError):
@@ -80,14 +83,71 @@ def check_res_pq() -> CheckOutcome:
     return run.outcome()
 
 
-def check_special_case(c_mode: str = "symbolic") -> CheckOutcome:
+# c_mode of `special-case`: "symbolic" or c in {-1, 0, 1}, as str or int
+_C_MODES = {"symbolic": None, "-1": -1, "0": 0, "1": 1, -1: -1, 0: 0, 1: 1}
+
+# the point of (f, c) at which `special-case` evaluates its resultant
+# certificates; a zero value there proves nothing and sends that line to
+# the gcd route
+_CERTIFICATE_POINT = {"f": 2, "c": 3}
+
+
+def _certifies_gcd(a: MultiPoly, b: MultiPoly, g: MultiPoly) -> bool:
+    """True when four facts prove gcd_subresultant(a, b, "k") == g: g is
+    normalized (g.primitive() == (1, g)), its leading k-coefficient is
+    an integer, g divides a and b, and Res_k(a/g, b/g) is nonzero at
+    _CERTIFICATE_POINT (`resultant_at`).  The proof is in
+    `check_special_case`.  False proves nothing."""
+    if (g.primitive() != (1, g)
+            or not g.coefficient("k", g.degree("k")).is_constant()):
+        return False
+    try:
+        a_rest, b_rest = a.exact_div(g), b.exact_div(g)
+    except InexactDivision:
+        return False
+    return resultant_at(a_rest, b_rest, "k", _CERTIFICATE_POINT) != 0
+
+
+def check_special_case(c_mode="symbolic") -> CheckOutcome:
     """m=7, r=4: both sweep polynomials against their factored displays,
     the conic delta as the primitive common factor, and coprimality of
-    the remaining factors."""
+    the remaining factors; c_mode is "symbolic" or c in {-1, 0, 1},
+    as a str or an int.
+
+    The gcd line asks that the manifest's delta be normalized and that
+    the primitive gcd in k of H and K be the conic, the primitive part
+    of delta at the parameters (at c = 0, delta is
+    7*(21 f^2 - 14 f k + 4 k^2)).  Both it and the coprimality lines
+    are proved by certificates, without a gcd computation:
+    `_certifies_gcd(H, K, conic)` for the gcd, and a nonzero value of
+    Res_k(factor, conic) at _CERTIFICATE_POINT for each factor.
+
+    Proof, in three parts.  (1) `resultant_at` is exact: Res_k at the
+    formal degrees is a polynomial in the k-coefficients (the Sylvester
+    determinant), and evaluation at the point commutes with it, also
+    where a leading coefficient vanishes there.  So a nonzero value
+    proves Res_k != 0.  (2) Over the field Q(f, c), Res_k(A, B) != 0 at
+    the true k-degrees exactly when A and B share no factor of positive
+    k-degree.  With A = H/conic and B = K/conic this gives
+    gcd(H, K) = conic * gcd(A, B) = conic up to a unit of Q(f, c); with
+    A = factor and B = conic, a gcd of k-degree 0, which is the constant
+    that `gcd_subresultant` returns.  (3) Gauss's lemma carries the gcd
+    back to Z[f, c][k]: `gcd_subresultant` returns the associate that
+    is primitive in k with coprime integer coefficients and a positive
+    leading coefficient.  The conic is one too: its leading k-coefficient
+    is an integer, so its k-content divides an integer and is 1, the
+    conic being normalized.  Two such associates differ by a sign, and
+    equal leading coefficients fix it, so the gcd is the conic.
+
+    Where a certificate is inconclusive (a division fails, or the value
+    at the point is 0), the line takes `gcd_subresultant`, which decides
+    it and gives the witness; no line of the catalog takes that route."""
     run = _Run("special-case")
+    if type(c_mode) not in (str, int) or c_mode not in _C_MODES:
+        run.expect("c_mode is symbolic, -1, 0 or 1", False)
+        return run.outcome()
     man = manifest()
-    c_value = None if c_mode == "symbolic" else int(c_mode)
-    core = build_core((7, 4, c_value))
+    core = build_core((7, 4, _C_MODES[c_mode]))
     h, k, spec = core.H, core.K, core.specialize
     f = MultiPoly.var("f")
     sc1 = spec(man["sc1conic"] * man["sc1cubic"] * man["sc1tail"]) * Rat(45927, 16)
@@ -101,14 +161,21 @@ def check_special_case(c_mode: str = "symbolic") -> CheckOutcome:
     run.note("display cofactor (first)", "f")
     run.note("display cofactor (second)", "21/2*f")
 
-    delta = spec(man["delta"])
-    g = gcd_subresultant(h, k, "k")
-    run.expect("primitive gcd of the pair is the conic", g == delta, g)
+    delta = man["delta"]
+    normalized = delta.primitive() == (1, delta)
+    conic = spec(delta).primitive()[1]
+    g = (conic if normalized and _certifies_gcd(h, k, conic)
+         else gcd_subresultant(h, k, "k"))
+    run.expect("primitive gcd of the pair is the conic",
+               normalized and g == conic, g)
     for label, other in (("cubic factor", man["sc1cubic"]),
                          ("tail factor", man["sc1tail"]),
                          ("linear factor", man["sc2lin"]),
                          ("degree-8 factor", man["sc2oct"])):
-        gg = gcd_subresultant(spec(other), delta, "k")
+        factor = spec(other)
+        gg = (MultiPoly.const(1)
+              if resultant_at(factor, conic, "k", _CERTIFICATE_POINT)
+              else gcd_subresultant(factor, conic, "k"))
         run.expect(f"{label} coprime to the conic", gg.is_constant(), gg)
     return run.outcome()
 
@@ -125,7 +192,7 @@ def check_relation1_delta() -> CheckOutcome:
 
     def hgen_gap(mm: int) -> MultiPoly:
         """Hgen + P*Q*R2 at (mm, 4)."""
-        at = [poly.substitute("m", mm) for poly in (hgen, p, q, r2)]
+        at = [entry.substitute("m", mm) for entry in (hgen, p, q, r2)]
         return at[0] + at[1] * at[2] * at[3]
 
     gap = hgen_gap(7)
@@ -257,7 +324,8 @@ def check_mod_delta_chain() -> CheckOutcome:
     sc_num = -3 * (man["omeganum"] * man["thetaden"]
                    + man["thetanum"] * man["omegaden"])
     sc_den = man["omegaden"] * man["thetaden"]
-    g = gcd(sc_num, sc_den)
+    # looked up on the module, so that a wrapper set on poly.gcd sees it
+    g = poly.gcd(sc_num, sc_den)
     cross2 = (sc_num.exact_div(g) * man["dfp2sden"]
               - man["dfp2snum"] * sc_den.exact_div(g))
     rem2 = pseudo_division(cross2, delta, "k")[1]

@@ -5,7 +5,8 @@ exponent keys (int) to rational/integer coefficients; key addition is
 monomial multiplication.  A set guard bit in a key sum means a
 per-variable exponent overflowed its field.  The integer kernels take
 plain lists: `resultant_int` two ascending univariate coefficient lists
-(the samples of `resultant.resultant_interp`), `bareiss_det_int` a
+(the samples of `resultant.resultant_interp`, and the one value of
+`resultant.resultant_at`), `bareiss_det_int` a
 square matrix.  They run on `int` alone, and every division in them is
 exact.  `bareiss_det_int` has no library caller: it stays as the tests'
 determinant oracle and as a benchmark trace target until the benchmark

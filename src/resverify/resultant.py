@@ -5,7 +5,9 @@ Sign convention: the Sylvester determinant with the rows of the first
 argument on top.  `resultant` takes the fraction-free Bareiss
 determinant (`bareiss_det`) of a Bezout-type matrix of size max(da, db),
 which has that determinant exactly (`_bezout_rows`), for constant and
-symbolic coefficients alike; `resultant_interp` samples the
+symbolic coefficients alike; `resultant_at` takes its value at an
+integer point of the other variables by one integer resultant
+(`kernels.resultant_int`); `resultant_interp` samples the
 dehomogenised inputs at the nodes +-1, +-2, ... over an exponent range
 read off the Newton polygons of the columns, and takes each sample
 by the subresultant PRS (`kernels.resultant_int`), which computes it
@@ -161,6 +163,46 @@ def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
         factor *= (-1) ** (da * db)
     rows = _bezout_rows(a_coeffs, b_coeffs, MultiPoly.zero())
     return bareiss_det(rows) * factor
+
+
+def resultant_at(a: MultiPoly, b: MultiPoly, var: str,
+                 point: dict[str, int]):
+    """The exact value of resultant(a, b, var) at an integer point of the
+    other variables (a dict name -> int that assigns each of them; names
+    the inputs lack are ignored), with
+    no symbolic determinant: one integer resultant of the primitive
+    parts' var-coefficients at the point, at the formal degrees
+    da = deg_var a and db = deg_var b (`kernels.resultant_int`), times
+    cont_a^db * cont_b^da as in `resultant`.
+
+    Proof.  Res_var(a, b) is the Sylvester determinant of the formal
+    degrees (da, db), a polynomial in the entries, which are the
+    coefficients of a and b in var.  Evaluation at the point is a ring
+    homomorphism, so it commutes with the determinant: the value is the
+    Sylvester determinant of the evaluated coefficients at the same
+    formal degrees, also where a leading coefficient vanishes at the
+    point.  `kernels.resultant_int` computes exactly that determinant.
+    So a nonzero value proves Res_var(a, b) != 0, which holds exactly
+    when a and b share no factor of positive var-degree; a zero value
+    proves nothing."""
+    if a.is_zero() or b.is_zero():
+        raise ZeroInput("resultant of a zero polynomial")
+    missing = (a.vars_used() | b.vars_used()) - {var} - set(point)
+    if var in point or missing or any(type(v) is not int for v in point.values()):
+        raise ValueError(f"the point must assign an int to each variable of "
+                         f"the inputs but {var!r}, and none to {var!r}")
+    da, db = a.degree(var), b.degree(var)
+    (cont_a, prim_a), (cont_b, prim_b) = a.primitive(), b.primitive()
+
+    def values(prim, deg):
+        # padded to the formal degree: the value's leading coefficients
+        # may vanish at the point
+        coeffs = [co.constant_value()
+                  for co in prim.at(point).coefficients_in(var)]
+        return coeffs + [0] * (deg + 1 - len(coeffs))
+
+    return (cont_a ** db * cont_b ** da
+            * kernels.resultant_int(values(prim_a, da), values(prim_b, db)))
 
 
 def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:

@@ -7,6 +7,7 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from conftest import rand_poly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from resverify.checks import (CHECK_NAMES, UnknownCheck,
                               run_check)
 from resverify.poly import MultiPoly, horner
 from resverify.ratio import Rat
+from resverify.resultant import gcd_subresultant
 
 
 def test_unknown_check():
@@ -43,9 +45,157 @@ def test_special_case_symbolic():
     assert out.detail["display cofactor (second)"] == "21/2*f"
 
 
-def test_special_case_fixed_c():
-    out = run_check("special-case", c_mode="1")
+@pytest.mark.parametrize("c_mode", ["-1", "0", "1"])
+def test_special_case_fixed_c(c_mode):
+    # at c = 0 delta is 7*(21 f^2 - 14 f k + 4 k^2): the gcd is compared
+    # with its primitive part
+    out = run_check("special-case", c_mode=c_mode)
     assert out.passed, out.witness
+    assert out == dataclasses.replace(
+        run_check("special-case", c_mode=int(c_mode)),
+        elapsed_ms=out.elapsed_ms)
+
+
+@pytest.mark.parametrize("c_mode", ["x", "2", "+1", " 1", 2, True, 1.0, None],
+                         ids=["word", "str-2", "plus", "space", "int-2",
+                              "bool", "float", "none"])
+def test_special_case_rejects_bad_c_mode(c_mode):
+    out = run_check("special-case", c_mode=c_mode)
+    assert not out.passed
+    assert out.detail == {"c_mode is symbolic, -1, 0 or 1": "FAIL"}
+    assert out.witness == "c_mode is symbolic, -1, 0 or 1"
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The inputs of each gcd_subresultant call the checks make."""
+    calls = []
+    inner = checks.gcd_subresultant
+
+    def spy(a, b, var):
+        calls.append((a, b))
+        return inner(a, b, var)
+
+    monkeypatch.setattr(checks, "gcd_subresultant", spy)
+    return calls
+
+
+@pytest.mark.parametrize("c_mode", ["symbolic", "-1", "0", "1"])
+def test_special_case_takes_no_gcd(gcd_calls, c_mode):
+    # every line is settled by its resultant certificate
+    assert run_check("special-case", c_mode=c_mode).passed
+    assert gcd_calls == []
+
+
+def _plant_special_case(monkeypatch, entries=None, factor=None):
+    """special-case on a manifest with some entries replaced, and with H
+    and K times factor."""
+    man = manifest()
+    bad = dataclasses.replace(man, values={**man.values, **(entries or {})})
+    monkeypatch.setattr(checks, "manifest", lambda: bad)
+    if factor is not None:
+        build_core = checks.build_core
+
+        def planted(params):
+            core = build_core(params)
+            return SimpleNamespace(H=core.H * factor, K=core.K * factor,
+                                   specialize=core.specialize)
+
+        monkeypatch.setattr(checks, "build_core", planted)
+
+
+GCD_LINE = "primitive gcd of the pair is the conic"
+
+
+@pytest.mark.parametrize("c_mode,witness", [
+    ("symbolic", "147*f^3 - 245*f^2*k + 126*f*k^2 - 28*k^3 - 32*f*c + 32*k*c"),
+    ("1", "147*f^3 - 245*f^2*k + 126*f*k^2 - 28*k^3 - 32*f + 32*k"),
+    ("0", "21*f^3 - 35*f^2*k + 18*f*k^2 - 4*k^3"),
+])
+def test_special_case_fails_on_planted_common_factor(monkeypatch, gcd_calls,
+                                                     c_mode, witness):
+    # H and K times k - f, and the displays with them: the cofactors
+    # share k - f, the certificate's resultant vanishes, and the gcd
+    # route names delta*(k - f)
+    extra = MultiPoly.var("k") - MultiPoly.var("f")
+    man = manifest()
+    _plant_special_case(monkeypatch, {"sc1tail": man["sc1tail"] * extra,
+                                      "sc2oct": man["sc2oct"] * extra}, extra)
+    out = run_check("special-case", c_mode=c_mode)
+    assert not out.passed
+    assert [line for line, v in out.detail.items() if v == "FAIL"] == [GCD_LINE]
+    assert out.witness == witness
+    assert len(gcd_calls) == 1
+
+
+@pytest.mark.parametrize("c_mode,witness", [
+    ("symbolic", "147*f^2 - 98*f*k + 28*k^2 - 32*c"),
+    ("-1", "147*f^2 - 98*f*k + 28*k^2 + 32"),
+    ("0", "21*f^2 - 14*f*k + 4*k^2"),
+])
+def test_special_case_fails_on_non_primitive_conic(monkeypatch, gcd_calls,
+                                                   c_mode, witness):
+    # 2*delta is not the primitive gcd: no certificate, and the gcd route
+    # names delta itself
+    man = manifest()
+    _plant_special_case(monkeypatch, {"delta": man["delta"] * 2})
+    out = run_check("special-case", c_mode=c_mode)
+    assert not out.passed
+    assert [line for line, v in out.detail.items() if v == "FAIL"] == [GCD_LINE]
+    assert out.witness == witness
+    assert len(gcd_calls) == 1
+
+
+def test_special_case_coprimality_falls_back_to_gcd(monkeypatch, gcd_calls):
+    # the cubic times delta shares delta with the conic: its resultant
+    # vanishes and the gcd route names the conic
+    man = manifest()
+    _plant_special_case(monkeypatch,
+                        {"sc1cubic": man["sc1cubic"] * man["delta"]})
+    out = run_check("special-case", c_mode="1")
+    assert out.detail["cubic factor coprime to the conic"] == "FAIL"
+    assert out.detail["tail factor coprime to the conic"] == "ok"
+    assert len(gcd_calls) == 1
+    assert gcd_calls[0][1] == man["delta"].substitute("c", 1)
+
+
+def test_gcd_certificate_on_planted_products(rng):
+    # whenever the certificate holds, gcd_subresultant agrees with it;
+    # a planted shared factor of positive k-degree defeats it
+    delta = manifest()["delta"]
+    f, k, c = (MultiPoly.var(n) for n in ("f", "k", "c"))
+    conics = [delta] + [g.primitive()[1] for g in (k ** 2 - f * c + 3,
+                                                   2 * k - f ** 2 * c + 1)]
+    held = 0
+    for i in range(120):
+        g = conics[i % len(conics)]
+        # a constant term: no monomial factor shared by chance
+        a, b = ((rand_poly(rng, names=("k", "f", "c"), max_terms=3, max_deg=2)
+                 + rng.randint(1, 9)) * Rat(rng.randint(1, 9), 4)
+                for _ in range(2))
+        if not (a and b):
+            continue
+        shared = k + f if i % 4 == 3 else MultiPoly.const(1)
+        got = checks._certifies_gcd(g * a * shared, g * b * shared, g)
+        if shared != 1:
+            assert not got
+        elif got:
+            held += 1
+            assert gcd_subresultant(g * a, g * b, "k") == g
+    assert held >= 80
+
+
+def test_gcd_certificate_needs_a_normalized_k_primitive_factor():
+    delta = manifest()["delta"]
+    f, k = MultiPoly.var("f"), MultiPoly.var("k")
+    a, b = delta * (k - 1), delta * (k + f)
+    assert checks._certifies_gcd(a, b, delta)
+    assert not checks._certifies_gcd(a, b, 2 * delta)  # content 2
+    assert not checks._certifies_gcd(a, b, -delta)  # negative leading term
+    # f*delta has the k-content f: it divides f*a, f*b but is not their
+    # k-primitive gcd
+    assert not checks._certifies_gcd(f * a, f * b, f * delta)
+    assert not checks._certifies_gcd(a, b, delta * (k - 1))  # no division
 
 
 def test_relation1_delta():

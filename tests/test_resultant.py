@@ -16,7 +16,7 @@ from resverify.resultant import (BothConstant, ZeroInput, _bezout_rows,
                                  _newton_interpolate, _newton_range,
                                  _sylvester_rows,
                                  bareiss_det, gcd_subresultant, resultant,
-                                 resultant_interp, sylvester)
+                                 resultant_at, resultant_interp, sylvester)
 from resverify.sweep import run_case
 
 V = variables()
@@ -556,6 +556,51 @@ class TestSampleBound:
         # the shape of the Sylvester matrix, so the full range is sampled
         assert run_case(7, 4, cc, "k").zero
         assert len(det_calls) == 43
+
+
+class TestResultantAt:
+    """resultant_at against the symbolic resultant evaluated at the
+    point, also where a formal leading coefficient vanishes there."""
+
+    @staticmethod
+    def _want(a, b, point):
+        return resultant(a, b, "k").at(point).constant_value()
+
+    def test_agrees_with_the_symbolic_resultant(self, rng):
+        vanishing = 0
+        for _ in range(200):
+            a, b = (rand_nonzero(rng, names=("k", "f", "c"), max_terms=4,
+                                 max_deg=2) * _content(rng) for _ in range(2))
+            point = {"f": rng.randint(-2, 2), "c": rng.randint(-2, 2)}
+            vanishing += any(
+                p.coefficient("k", p.degree("k")).at(point).is_zero()
+                for p in (a, b))
+            assert resultant_at(a, b, "k", point) == self._want(a, b, point)
+        assert vanishing > 20
+
+    @pytest.mark.parametrize("a,b", VANISHING_PAIRS)
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_vanishing_leading_coefficients(self, a, b, f):
+        point = {"f": f}
+        assert resultant_at(a, b, "k", point) == self._want(a, b, point)
+        assert resultant_at(b, a, "k", point) == self._want(b, a, point)
+
+    def test_special_case_pair_vanishes(self):
+        core = build_core((7, 4, None))
+        assert resultant_at(core.H, core.K, "k", {"f": 2, "c": 3}) == 0
+        core = build_core((8, 4, None))
+        assert resultant_at(core.H, core.K, "k", {"f": 2, "c": 3}) != 0
+
+    def test_zero_input(self):
+        with pytest.raises(ZeroInput):
+            resultant_at(MultiPoly.zero(), K, "k", {})
+
+    @pytest.mark.parametrize("point", [{}, {"f": 1, "k": 2}, {"f": Rat(1, 2)},
+                                       {"f": 1.0}],
+                             ids=["missing", "var", "rational", "float"])
+    def test_rejects_a_bad_point(self, point):
+        with pytest.raises(ValueError, match="must assign an int"):
+            resultant_at(K - F, K + F, "k", point)
 
 
 class TestSpecializationConsistency:
