@@ -73,6 +73,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ck = sub.add_parser("check", help="run one named identity check")
     ck.add_argument("name", choices=CHECK_NAMES)
     ck.add_argument("--format", choices=("json", "text"), default="text")
+    ck.add_argument("--c", choices=("symbolic", "-1", "0", "1"),
+                    help="c of special-case (default symbolic); "
+                         "no other check takes it")
 
     rs = sub.add_parser("resultant", help="resultant of two manifest entries")
     rs.add_argument("--manifest", required=True, help="manifest file path")
@@ -127,7 +130,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    outcome = run_check(args.name)
+    if args.c is None:
+        outcome = run_check(args.name)
+    elif args.name == "special-case":
+        outcome = run_check(args.name, c_mode=args.c)
+    else:
+        raise UsageError(f"--c applies to special-case only, not {args.name}")
     _emit_check(outcome, args.format, sys.stdout)
     return EXIT_OK if outcome.passed else EXIT_MISMATCH
 

@@ -49,24 +49,43 @@ def rand_graded(rng: random.Random, degrees, names=("k", "f"), extra_terms=3,
             return acc
 
 
-# total degrees of the two inputs' terms; the gcd of their gaps to the
-# maxima (the step of resultant_interp) is 0, 2, 3 and 1
-SHAPES = {
+def rand_mrcf(rng: random.Random, k_degree: int) -> MultiPoly:
+    """Random polynomial of k-degree k_degree whose k-coefficients are
+    sparse polynomials in (m, r, c, f), as those of P and Q are; the
+    leading and constant ones are nonzero."""
+    names = ("m", "r", "c", "f")
+    acc = MultiPoly.zero()
+    for i in range(k_degree, -1, -1):
+        draw = rand_nonzero if i in (0, k_degree) else rand_poly
+        acc = (acc * MultiPoly.var("k")
+               + draw(rng, names=names, max_terms=2, max_deg=1))
+    return acc
+
+
+# total degrees of the two inputs' terms in (k, f); the gcd of their
+# gaps to the maxima (the step of resultant_interp) is 0, 2, 3 and 1
+BIVARIATE_SHAPES = {
     "homogeneous": ([2], [3]),
     "parity": ([4, 2, 0], [3, 1]),
     "step3": ([5, 2], [4, 1]),
     "mixed": ([3, 2, 0], [3, 1]),
 }
+# and "mrcf": k-degrees 3 and 4 with k-coefficients in (m, r, c, f), a
+# Bezout matrix of 4 rows, the largest that resultant() expands by minors
+SHAPES = {**BIVARIATE_SHAPES, "mrcf": (3, 4)}
 
 
 def rand_shaped_pair(rng: random.Random, shape: str):
-    """Two polynomials in (k, f) of one of SHAPES, or of a random shape
+    """Two polynomials of one of SHAPES, or of a random bivariate shape
     times a planted common factor of positive k-degree for "planted"."""
     if shape == "planted":
-        degs_a, degs_b = SHAPES[rng.choice(sorted(SHAPES))]
+        pick = rng.choice(sorted(BIVARIATE_SHAPES))
+        degs_a, degs_b = BIVARIATE_SHAPES[pick]
         common = rand_graded(rng, rng.choice(([1], [2, 1])))
         return (common * rand_graded(rng, degs_a, extra_terms=1),
                 common * rand_graded(rng, degs_b, extra_terms=1))
+    if shape == "mrcf":
+        return tuple(rand_mrcf(rng, d) for d in SHAPES[shape])
     degs_a, degs_b = SHAPES[shape]
     return rand_graded(rng, degs_a), rand_graded(rng, degs_b)
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from resverify import catalog, sweep
+from resverify.checks import run_check
 from resverify.cli import main
 from resverify.resultant import resultant_interp
 from resverify.sweep import (SweepConfig, UsageError, expected_exceptions,
@@ -253,6 +254,40 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("PASS: relation1-delta")
+
+    @pytest.mark.parametrize("c", ["-1", "0", "1"])
+    def test_check_special_case_at_fixed_c(self, capsys, c):
+        code = main(["check", "special-case", "--c", c])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("PASS: special-case")
+
+    def test_check_c_mode_passed_only_when_given(self, monkeypatch, capsys):
+        from resverify import cli
+        calls = []
+
+        def spy(name, **kwargs):
+            calls.append((name, kwargs))
+            return run_check(name, **kwargs)
+
+        monkeypatch.setattr(cli, "run_check", spy)
+        assert main(["check", "special-case"]) == 0
+        assert main(["check", "special-case", "--c=-1"]) == 0
+        assert main(["check", "special-case", "--c", "symbolic"]) == 0
+        assert calls == [("special-case", {}),
+                         ("special-case", {"c_mode": "-1"}),
+                         ("special-case", {"c_mode": "symbolic"})]
+
+    def test_check_c_outside_choices_rejected_by_argparse(self):
+        with pytest.raises(SystemExit) as err:
+            main(["check", "special-case", "--c", "2"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("c", ["1", "symbolic"])
+    def test_check_c_only_for_special_case(self, capsys, c):
+        code = main(["check", "res-pq", "--c", c])
+        assert code == 2
+        assert "--c applies to special-case only" in capsys.readouterr().err
 
     def test_check_unknown_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as err:

@@ -5,14 +5,15 @@ subresultant gcd."""
 import importlib
 
 import pytest
-from conftest import (SHAPES, cofactor_det, rand_nonzero, rand_poly,
-                      rand_shaped_pair)
+from conftest import (BIVARIATE_SHAPES, SHAPES, cofactor_det, rand_nonzero,
+                      rand_poly, rand_shaped_pair)
 
 from resverify import kernels
 from resverify.catalog import build_core, manifest
 from resverify.poly import MultiPoly, horner, int_coeffs, variables
 from resverify.ratio import Rat
-from resverify.resultant import (BothConstant, ZeroInput, _bezout_rows,
+from resverify.resultant import (_MINOR_DET_MAX, BothConstant, ZeroInput,
+                                 _bezout_rows, _minor_det,
                                  _newton_interpolate, _newton_range,
                                  _sylvester_rows,
                                  bareiss_det, gcd_subresultant, resultant,
@@ -140,6 +141,44 @@ class TestBareiss:
         assert bareiss_det(rows).is_zero()
 
 
+class TestMinorDet:
+    def test_against_bareiss_and_cofactor_oracle(self, rng):
+        # sizes 0..5 with zero entries; every third matrix repeats a row,
+        # every third has a zero column
+        for n in range(6):
+            for trial in range(12):
+                rows = [[rand_poly(rng, names=("f", "k", "m"), max_terms=2,
+                                   max_deg=2) for _ in range(n)]
+                        for _ in range(n)]
+                singular = n > 1 and trial % 3 > 0
+                if singular and trial % 3 == 1:
+                    rows[-1] = list(rows[rng.randrange(n - 1)])
+                if singular and trial % 3 == 2:
+                    col = rng.randrange(n)
+                    for row in rows:
+                        row[col] = MultiPoly.zero()
+                got = _minor_det(rows)
+                assert got == bareiss_det(rows), rows
+                assert got == (cofactor_det(rows) if n else 1), rows
+                assert not singular or got.is_zero(), rows
+
+    def test_row_order_sign(self):
+        # the permutation matrices of (1 2 0) and (0 2 1): signs +1, -1
+        one, zero = MultiPoly.const(1), MultiPoly.zero()
+        assert _minor_det([[zero, one, zero], [zero, zero, one],
+                           [one, zero, zero]]) == 1
+        assert _minor_det([[one, zero, zero], [zero, zero, one],
+                           [zero, one, zero]]) == -1
+
+    def test_empty_matrix_is_one(self):
+        assert _minor_det([]) == 1
+
+    @pytest.mark.parametrize("rows", [[[F, K]], [[F], [K]], [[F, K], [K]]])
+    def test_not_square_refused(self, rows):
+        with pytest.raises(ValueError, match="not square"):
+            _minor_det(rows)
+
+
 class TestResultant:
     def test_linear_example(self):
         assert resultant(K - 2, K - 5, "k") == MultiPoly.const(-3)
@@ -205,8 +244,9 @@ class TestResultant:
         assert res.is_zero()
 
     def test_one_determinant_route(self, monkeypatch):
-        # constant and symbolic coefficients alike take bareiss_det on
-        # the Bezout rows; the integer determinant kernel is never called
+        # constant and symbolic coefficients alike take the MultiPoly
+        # determinant of the Bezout rows; the integer determinant kernel
+        # is never called
         def refuse(rows):
             raise AssertionError("resultant() called kernels.bareiss_det_int")
 
@@ -219,8 +259,59 @@ class TestResultant:
         assert res.coefficient("f", 3) * 4096 == man["coefF3"]
 
 
+@pytest.fixture
+def det_routes(monkeypatch):
+    """Spy on the two symbolic determinant routes: the size of every
+    bareiss_det matrix, and the non-constant divisors of exact_div."""
+    module = importlib.import_module("resverify.resultant")
+    calls = {"bareiss": [], "divisors": []}
+    bareiss, exact_div = module.bareiss_det, MultiPoly.exact_div
+
+    def bareiss_spy(rows):
+        calls["bareiss"].append(len(rows))
+        return bareiss(rows)
+
+    def exact_div_spy(self, b):
+        if not b.is_constant():
+            calls["divisors"].append(b)
+        return exact_div(self, b)
+
+    monkeypatch.setattr(module, "bareiss_det", bareiss_spy)
+    monkeypatch.setattr(MultiPoly, "exact_div", exact_div_spy)
+    return calls
+
+
+def test_pq_resultant_is_division_free(det_routes):
+    # the 3 Bezout rows of P and Q are expanded by minors: no Bareiss
+    # elimination and no division by a polynomial
+    man = manifest()
+    res = resultant(man["P"], man["Q"], "k")
+    assert res.coefficient("f", 3) * 4096 == man["coefF3"]
+    assert det_routes == {"bareiss": [], "divisors": []}
+
+
+def test_minor_route_up_to_four_rows(rng, det_routes):
+    # k-degrees 3 and 4: the largest matrix expanded by minors
+    a, b = rand_shaped_pair(rng, "mrcf")
+    want = bareiss_det(sylvester(a, b, "k"))
+    del det_routes["bareiss"][:], det_routes["divisors"][:]
+    assert resultant(a, b, "k") == want
+    assert det_routes == {"bareiss": [], "divisors": []}
+
+
+def test_bareiss_route_above_four_rows(rng, det_routes):
+    assert _MINOR_DET_MAX == 4
+    a = rand_nonzero(rng, names=("f",)) * K ** 5 + F * K + 1
+    b = K ** 2 - F
+    want = bareiss_det(sylvester(a, b, "k"))
+    del det_routes["bareiss"][:]
+    assert resultant(a, b, "k") == want
+    assert resultant(b, a, "k") == want  # times (-1)^(5*2)
+    assert det_routes["bareiss"] == [5, 5]
+
+
 def test_symbolic_routines_run_on_int(monkeypatch):
-    # the Bareiss resultant of res-pq and the conic gcd of special-case
+    # the symbolic resultant of res-pq and the conic gcd of special-case
     # multiply integer coefficients only: no Fraction reaches the kernel
     man = manifest()
     core = build_core((7, 4, None))
@@ -388,7 +479,7 @@ class TestFormalDegreeZero:
 
 
 class TestSampleBound:
-    @pytest.mark.parametrize("shape", [*SHAPES, "planted"])
+    @pytest.mark.parametrize("shape", [*BIVARIATE_SHAPES, "planted"])
     def test_shapes_match_symbolic_bareiss(self, rng, det_calls, shape):
         for _ in range(25):
             a, b = rand_shaped_pair(rng, shape)
@@ -445,7 +536,8 @@ class TestSampleBound:
         assert resultant_interp(a, b, "k", "f") == resultant(a, b, "k")
         assert len(det_calls) >= 3
 
-    @pytest.mark.parametrize("shape", [*SHAPES, "planted", "vanishing"])
+    @pytest.mark.parametrize("shape",
+                             [*BIVARIATE_SHAPES, "planted", "vanishing"])
     def test_matching_bounds_bracket_the_resultant(self, rng, shape):
         # the Newton-polygon bound: lo <= ord_f Res <= deg_f Res <= hi,
         # None only where Res is identically zero
@@ -514,7 +606,8 @@ class TestSampleBound:
         # sample confirms it
         pairs = [(K ** 2 * F, K * F)]
         pairs += [tuple(K * p for p in rand_shaped_pair(rng, shape))
-                  for shape in (*SHAPES, "planted") for _ in range(5)]
+                  for shape in (*BIVARIATE_SHAPES, "planted")
+                  for _ in range(5)]
         for a, b in pairs:
             del det_calls[:]
             assert resultant_interp(a, b, "k", "f").is_zero()

@@ -3,7 +3,8 @@ implementation that shares no code with this package.  Skipped when
 sympy is not installed."""
 
 import pytest
-from conftest import SHAPES, rand_nonzero, rand_poly, rand_shaped_pair
+from conftest import (BIVARIATE_SHAPES, rand_nonzero, rand_poly,
+                      rand_shaped_pair)
 
 from resverify import kernels
 from resverify.catalog import build_core
@@ -82,7 +83,7 @@ def test_resultant_matches_sympy_randomized(rng):
         assert same(resultant_interp(a, b, "k", "f"), want), (a, b)
 
 
-@pytest.mark.parametrize("shape", [*SHAPES, "planted"])
+@pytest.mark.parametrize("shape", [*BIVARIATE_SHAPES, "planted"])
 def test_interp_sample_bound_matches_sympy(rng, shape):
     for _ in range(10):
         a, b = rand_shaped_pair(rng, shape)
