@@ -201,16 +201,25 @@ def bareiss_det(rows: list[list[MultiPoly]]) -> MultiPoly:
     return det if sign > 0 else -det
 
 
-def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    """Textbook resultant of a and b w.r.t. var: the determinant of the
-    Bezout rows, by minors up to _MINOR_DET_MAX rows and by Bareiss
-    above (module docstring)."""
+def _primitive_pair(a: MultiPoly, b: MultiPoly, var: str):
+    """(da, db, prim_a, prim_b, factor) for the resultant routes: the
+    var-degrees, the primitive parts and the content factor
+    cont_a^db * cont_b^da, with Res(a, b) = factor * Res(prim_a, prim_b)
+    at the formal degrees da, db.  A zero input raises ZeroInput."""
     if a.is_zero() or b.is_zero():
         raise ZeroInput("resultant of a zero polynomial")
     da, db = a.degree(var), b.degree(var)
-    cont_a, prim_a = a.primitive()
-    cont_b, prim_b = b.primitive()
-    factor = cont_a ** db * cont_b ** da
+    (cont_a, prim_a), (cont_b, prim_b) = a.primitive(), b.primitive()
+    return da, db, prim_a, prim_b, cont_a ** db * cont_b ** da
+
+
+def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
+    """Textbook resultant of a and b w.r.t. var: the determinant of the
+    Bezout rows, by minors up to _MINOR_DET_MAX rows and by Bareiss
+    above (module docstring).  The determinant of the primitive parts
+    has integer coefficients; the content factor is applied as a product
+    by its numerator and an exact division by its denominator."""
+    da, db, prim_a, prim_b, factor = _primitive_pair(a, b, var)
     a_coeffs = prim_a.coefficients_in(var)
     b_coeffs = prim_b.coefficients_in(var)
     if da < db:
@@ -218,7 +227,9 @@ def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
         factor *= (-1) ** (da * db)
     rows = _bezout_rows(a_coeffs, b_coeffs, MultiPoly.zero())
     det = _minor_det if len(rows) <= _MINOR_DET_MAX else bareiss_det
-    return det(rows) * factor
+    res = det(rows) * factor.numerator
+    den = factor.denominator
+    return res if den == 1 else res.exact_div(MultiPoly.const(den))
 
 
 def resultant_at(a: MultiPoly, b: MultiPoly, var: str,
@@ -241,14 +252,11 @@ def resultant_at(a: MultiPoly, b: MultiPoly, var: str,
     So a nonzero value proves Res_var(a, b) != 0, which holds exactly
     when a and b share no factor of positive var-degree; a zero value
     proves nothing."""
-    if a.is_zero() or b.is_zero():
-        raise ZeroInput("resultant of a zero polynomial")
+    da, db, prim_a, prim_b, factor = _primitive_pair(a, b, var)
     missing = (a.vars_used() | b.vars_used()) - {var} - set(point)
     if var in point or missing or any(type(v) is not int for v in point.values()):
         raise ValueError(f"the point must assign an int to each variable of "
                          f"the inputs but {var!r}, and none to {var!r}")
-    da, db = a.degree(var), b.degree(var)
-    (cont_a, prim_a), (cont_b, prim_b) = a.primitive(), b.primitive()
 
     def values(prim, deg):
         # padded to the formal degree: the value's leading coefficients
@@ -257,8 +265,8 @@ def resultant_at(a: MultiPoly, b: MultiPoly, var: str,
                   for co in prim.at(point).coefficients_in(var)]
         return coeffs + [0] * (deg + 1 - len(coeffs))
 
-    return (cont_a ** db * cont_b ** da
-            * kernels.resultant_int(values(prim_a, da), values(prim_b, db)))
+    return factor * kernels.resultant_int(values(prim_a, da),
+                                          values(prim_b, db))
 
 
 def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:
@@ -405,15 +413,11 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     between samples raises ComputationTimeout."""
     if spectator == var:
         raise ValueError(f"the spectator must differ from {var!r}")
-    if a.is_zero() or b.is_zero():
-        raise ZeroInput("resultant of a zero polynomial")
+    da, db, prim_a, prim_b, factor = _primitive_pair(a, b, var)
     extra = (a.vars_used() | b.vars_used()) - {var, spectator}
     if extra:
         raise ValueError(f"inputs must be polynomials in {{{var}, {spectator}}}; "
                          f"also saw {sorted(extra)}")
-    da, db = a.degree(var), b.degree(var)
-    (cont_a, prim_a), (cont_b, prim_b) = a.primitive(), b.primitive()
-    factor = cont_a ** db * cont_b ** da
     terms_a = list(prim_a.exponents(var, spectator))
     terms_b = list(prim_b.exponents(var, spectator))
     degs_a = {i + j for (i, j), _ in terms_a}

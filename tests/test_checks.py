@@ -17,7 +17,7 @@ from resverify.checks import (CHECK_NAMES, UnknownCheck,
                               check_appendix_c_leading, integer_roots,
                               run_check)
 from resverify.poly import MultiPoly, horner
-from resverify.ratio import Rat
+from resverify.ratio import Rat, quotient
 from resverify.resultant import gcd_subresultant
 
 
@@ -404,6 +404,35 @@ def test_appendix_c_leading_fails_on_odd_f_exponent(monkeypatch):
     assert out.witness == label
 
 
+def test_appendix_c_cofactor_contents():
+    # the docstring's cofactor: the generic (m - r)-cleared pair has the
+    # rational contents 3/32 and -9/64, (3/32)^4 * (-9/64)^3 = -3^10/2^38
+    core = checks.build_core()
+    assert core.H.primitive()[0] == Rat(3, 32)
+    assert core.K.primitive()[0] == Rat(-9, 64)
+
+
+@pytest.mark.parametrize("patched, factor, sample, args", [
+    ("dominant_coef_value", 2, (4, 2, 1), (4, 2, 1)),
+    ("res_special_value", 3, (5, 3, 1), (3, 1)),
+], ids=["dominant-2x", "special-3x"])
+def test_appendix_c_leading_rejects_scaled_closed_form(monkeypatch, patched,
+                                                       factor, sample, args):
+    # a multiple of the closed form is still divisible by the leading
+    # coefficient, but it breaks the cleared equality
+    closed_form = getattr(checks, patched)
+    monkeypatch.setattr(checks, patched,
+                        lambda *params: factor * closed_form(*params))
+    out = check_appendix_c_leading(samples=[sample] * 40)
+    assert not out.passed
+    mm, rr, _ = sample
+    lead = quotient(-3 ** 10 * mm ** 3 * closed_form(*args),
+                    2 ** 38 * (mm - rr) ** 7)
+    label = "({},{},{}) 3^10*m^3*closed == -2^38*(m-r)^7*lc_z Res_u"
+    assert out.detail[label.format(*sample)] == "FAIL"
+    assert out.witness == f"lead={lead} closed={factor * closed_form(*args)}"
+
+
 def test_appendix_c_leading_requires_40_samples():
     out = check_appendix_c_leading(samples=[(4, 2, 1)])
     assert not out.passed
@@ -415,9 +444,9 @@ def test_all_outcomes_have_timing():
     assert out.name == "biconservative"
 
 
-# sha256 of json.dumps([passed, witness, detail]) for each check, taken
-# while appendix-c-leading still eliminated f itself and extracted the
-# square root: every check keeps its verdict, witness and detail lines
+# sha256 of json.dumps([passed, witness, detail]) for each check: a
+# change that keeps every verdict, witness and detail line keeps these;
+# appendix-c-leading's pins one cleared-equality line per sample
 CHECK_DIGESTS = {
     "res-pq":
         "0c3fe0474fd72355a4010dd0aa019673827da314ed0913abeed7150ba7cfaa18",
@@ -436,7 +465,7 @@ CHECK_DIGESTS = {
     "scan-factors":
         "313a09b76cfef5c498c005082f9bca00ff8eeb4d98afd0ac00834d0d24802152",
     "appendix-c-leading":
-        "f6778dcf391b58a0caaf79ac11f38851748412600fefcd9a536647468d4e0f6f",
+        "6da3f69566263100a03c81817d498e9d9ae72c4b369b536c97a0034b41c870a9",
 }
 
 
