@@ -399,53 +399,53 @@ def integer_roots(coeffs) -> set[int]:
     return roots
 
 
-def scan_dominant_factors(m_max: int = 10000) -> CheckOutcome:
-    """Exact integer scan: the leading-coefficient closed form vanishes
-    on 4 <= m <= m_max, 2 <= r <= m-1 exactly on {m=7} u {m=10} u
-    {m=2r-1}; the m=2r-1 form vanishes exactly at r in {2, 4}.
+def scan_dominant_factors() -> CheckOutcome:
+    """The leading-coefficient closed form vanishes on m >= 4,
+    2 <= r <= m-1 exactly on {m=7} u {m=10} u {m=2r-1}, and the m=2r-1
+    form at no r >= 2 but 2 and 4, for every integer.
 
-    A product vanishes iff a factor does.  The m-factors and the
-    factors of the m=2r-1 form are solved once, over all integers
-    (`integer_roots`), so what they show holds for every integer: the
-    m-factors vanish at no m >= 4 but 7 and 10, and the m=2r-1 form at
-    no r >= 2 but 2 and 4.  Each r-factor a(m) + b*r is solved for r at
-    every m up to m_max: that part of the first line is a scan."""
+    `integer_roots` solves the m-factors and the m=2r-1 factors.  An
+    r-factor a0 + a1*m + b*r (a nonlinear a(m) fails a line) is zero at
+    m >= 4 and integer 2 <= r = -(a0 + a1*m)/b <= m-1 on a class modulo
+    a divisor of b in an interval from lo, which is 4 or the ceiling of
+    the m where the line crosses r = 2 or r = m-1: its first n zeros lie
+    in lo <= m < lo + n*|b|.  Let X hold 7, 10 and the m-roots >= 4, and
+    m* be the least m >= 4 where the zeros differ from the claim: off X,
+    the lines' zeros against r = (m+1)/2 at odd m.  Either m* is in X;
+    or (a) a line has a zero r != (m*+1)/2 at m*, so its zeros below m*
+    are in X or where it meets r = (m+1)/2 (once at most), and m* is
+    among its first |X| + 2; or (b) m* is odd and no line is a multiple
+    of m + 1 - 2r (which gives exactly the m=2r-1 family), so each meets
+    r = (m+1)/2 once at most, and m* <= 5 + 2*(|X| + #lines).  The check
+    compares X, the windows and those odd m."""
     run = _Run("scan-factors")
-    # bool is an int subclass and 60.0 == 60: both are refused
-    if type(m_max) is not int or m_max < 30:
-        run.expect("m_max >= 30", False)
-        return run.outcome()
     m_factors, r_factors, special = closed_form_tables()
     m_roots = set().union(*(integer_roots(co) for co, _ in m_factors))
-    bad = None
-    zero_pairs = 0
-    for mm in range(4, m_max + 1):
-        if mm in m_roots:
-            zero = set(range(2, mm))
-        else:
-            zero = set()
-            for a, b, _ in r_factors:
-                root, rem = divmod(-horner(a, mm), b)
-                if not rem and 2 <= root < mm:
-                    zero.add(root)
-        if mm in (7, 10):
-            expected = set(range(2, mm))
-        else:
-            expected = {(mm + 1) // 2} if mm % 2 else set()
-        if zero != expected:
-            bad = mm
-            break
-        zero_pairs += len(zero)
-    run.expect("vanishing set is {m=7} u {m=10} u {m=2r-1}", bad is None,
-               f"first mismatch at m={bad}" if bad is not None else None)
-    run.note("pairs scanned", sum(max(0, mm - 2) for mm in range(4, m_max + 1)))
-    run.note("vanishing pairs", zero_pairs)
 
-    # the m=2r-1 form is a nonzero constant times c^12 times the factors;
-    # m <= m_max gives 2 <= r <= (m_max + 1) // 2, which holds 2 and 4
-    r_hi = (m_max + 1) // 2
+    def as_claimed(mm: int) -> bool:
+        zero = set(range(2, mm)) if mm in m_roots else set()
+        for a, b, _ in r_factors:
+            root, rem = divmod(-horner(a, mm), b)
+            if not rem and 2 <= root < mm:
+                zero.add(root)
+        return zero == (set(range(2, mm)) if mm in (7, 10)
+                        else {(mm + 1) // 2} if mm % 2 else set())
+    if run.expect("every r-factor is a0 + a1*m + b*r",
+                  all(len(a) <= 2 for a, _, _ in r_factors)):
+        exempt = {mm for mm in m_roots | {7, 10} if mm >= 4}
+        tried = exempt.union(range(5, 6 + 2 * (len(exempt) + len(r_factors)), 2))
+        for a, b, _ in r_factors:
+            a0, a1 = (a + (0,))[:2]
+            crossings = ((-a1, a0 + 2 * b), (a1 + b, b - a0))  # r = 2, r = m-1
+            for lo in {4} | {max(4, -(-d // c)) for c, d in crossings if c}:
+                tried.update(range(lo, lo + (len(exempt) + 2) * abs(b)))
+        bad = min((mm for mm in tried if not as_claimed(mm)), default=None)
+        run.expect("vanishing set is {m=7} u {m=10} u {m=2r-1}", bad is None,
+                   f"first mismatch at m={bad}" if bad is not None else None)
+
+    # the m=2r-1 form is a nonzero constant times c^12 times the factors
     r_roots = set().union(*(integer_roots(co) for co, _ in special))
-    bad_r = sorted({rr for rr in r_roots if 2 <= rr <= r_hi} ^ {2, 4})
+    bad_r = sorted({rr for rr in r_roots if rr >= 2} ^ {2, 4})
     run.expect("m=2r-1 form vanishes exactly at r in {2, 4}", not bad_r,
                f"mismatch at r in {bad_r[:5]}" if bad_r else None)
     run.note("c dependence", "c^12, nonzero for c in {-1, 1}")

@@ -2,8 +2,10 @@
 arbitrary-precision rationals.  There is no rational-function type: a
 caller with a denominator multiplies it out and compares polynomials.
 
-A coefficient is an int or a Rat, never a float or a bool: integers
-stay int, and every coefficient division is `ratio.quotient`.
+A coefficient is an int or a Rat, never a float or a bool.  Integers
+stay int: `MultiPoly(...)`, `const`, the scalar product and
+`ratio.quotient`, the one coefficient division, give an integral Rat
+as an int; sums and products of two polynomials do not normalize.
 
 The variable registry is closed and ordered:
 
@@ -68,14 +70,12 @@ def _check_var(name: str) -> int:
 
 
 def _rat(value):
-    """A coefficient: an int (a bool as int) or a Rat, kept as it is; a
-    float would enter as its binary expansion and raises TypeError."""
-    if isinstance(value, int):
-        return int(value)
-    if not isinstance(value, Rat):
+    """A coefficient: an int (a bool or an integral Rat as int) or a Rat;
+    a float would enter as its binary expansion and raises TypeError."""
+    if not isinstance(value, (int, Rat)):
         raise TypeError(f"coefficient must be int or Rat, not "
                         f"{type(value).__name__}")
-    return value
+    return value.numerator if value.denominator == 1 else value
 
 
 def encode_exponents(exps: Iterable[int]) -> int:
@@ -258,7 +258,7 @@ class MultiPoly:
             q = _rat(other)
             if not q:
                 return MultiPoly.zero()
-            return MultiPoly._raw({k: v * q for k, v in self._d.items()})
+            return MultiPoly._raw({k: _rat(v * q) for k, v in self._d.items()})
         return NotImplemented
 
     __rmul__ = __mul__

@@ -292,26 +292,6 @@ def test_kfconst():
     assert Rat(out.detail["common factor"]) == Rat(1)
 
 
-def test_scan_factors_small_range():
-    out = run_check("scan-factors", m_max=60)
-    assert out.passed, out.witness
-
-
-def test_scan_factors_rejects_tiny_range():
-    out = run_check("scan-factors", m_max=10)
-    assert not out.passed
-
-
-@pytest.mark.parametrize("m_max", [60.0, True, "60"],
-                         ids=["float", "bool", "str"])
-def test_scan_factors_rejects_non_int_range(m_max):
-    # bool is an int subclass and 60.0 == 60: only the type tells them apart
-    out = run_check("scan-factors", m_max=m_max)
-    assert not out.passed
-    assert out.detail == {"m_max >= 30": "FAIL"}
-    assert out.witness == "m_max >= 30"
-
-
 def _brute_roots(coeffs, bound):
     return {x for x in range(-bound, bound + 1) if not horner(coeffs, x)}
 
@@ -354,29 +334,118 @@ def test_integer_roots_of_zero_refused():
         integer_roots([0, 0])
 
 
-def _plant(monkeypatch, m_factor=(), special_factor=()):
+def _plant(monkeypatch, m_factor=(), special_factor=(), r_factor=()):
     m_factors, r_factors, special = closed_form_tables()
     monkeypatch.setattr(checks, "closed_form_tables", lambda: (
-        m_factors + m_factor, r_factors, special + special_factor))
+        m_factors + m_factor, r_factors + r_factor, special + special_factor))
+
+
+_LINEAR = "every r-factor is a0 + a1*m + b*r"
+_VANISHING = "vanishing set is {m=7} u {m=10} u {m=2r-1}"
+_FAMILY = ((1, 1), -2, 1)  # the r-factor m + 1 - 2r
 
 
 def test_scan_factors_fails_on_planted_m_factor(monkeypatch):
     # (m - 12)*(2*m + 1): a root at m = 12, where no r-factor vanishes
     _plant(monkeypatch, m_factor=(((-12, -23, 2), 1),))
-    out = run_check("scan-factors", m_max=60)
+    out = run_check("scan-factors")
     assert not out.passed
-    assert out.detail["vanishing set is {m=7} u {m=10} u {m=2r-1}"] == "FAIL"
+    assert out.detail[_VANISHING] == "FAIL"
     assert out.witness == "first mismatch at m=12"
 
 
 def test_scan_factors_fails_on_planted_special_factor(monkeypatch):
     # (r - 6)*(3*r + 2): the m=2r-1 form would also vanish at r = 6
     _plant(monkeypatch, special_factor=(((-12, -16, 3), 1),))
-    out = run_check("scan-factors", m_max=60)
+    out = run_check("scan-factors")
     assert not out.passed
-    assert out.detail["vanishing set is {m=7} u {m=10} u {m=2r-1}"] == "ok"
+    assert out.detail[_VANISHING] == "ok"
     assert out.detail["m=2r-1 form vanishes exactly at r in {2, 4}"] == "FAIL"
     assert out.witness == "mismatch at r in [6]"
+
+
+def _reference_scan(m_factors, r_factors, m_max):
+    """The first m <= m_max at which the closed form's zero set on
+    2 <= r <= m-1 differs from {m=7} u {m=10} u {m=2r-1}, or None: the
+    per-m brute-force scan that `scan-factors` solves in closed form."""
+    m_roots = set().union(*(integer_roots(co) for co, _ in m_factors))
+    for mm in range(4, m_max + 1):
+        if mm in m_roots:
+            zero = set(range(2, mm))
+        else:
+            zero = set()
+            for a, b, _ in r_factors:
+                root, rem = divmod(-horner(a, mm), b)
+                if not rem and 2 <= root < mm:
+                    zero.add(root)
+        if mm in (7, 10):
+            expected = set(range(2, mm))
+        else:
+            expected = {(mm + 1) // 2} if mm % 2 else set()
+        if zero != expected:
+            return mm
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9),
+                          st.integers(-6, 6).filter(bool)),
+                min_size=1, max_size=3),
+       st.booleans())
+def test_scan_factors_matches_reference_scan(lines, with_family):
+    # planted r-factors a0 + a1*m + b*r, with or without m + 1 - 2r: the
+    # closed form names the same first bad m as a scan to m = 400
+    m_factors, _, special = closed_form_tables()
+    r_factors = tuple(((a0, a1), b, 1) for a0, a1, b in lines)
+    if with_family:
+        r_factors += (_FAMILY,)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "closed_form_tables",
+                   lambda: (m_factors, r_factors, special))
+        out = run_check("scan-factors")
+    bad = _reference_scan(m_factors, r_factors, 400)
+    assert out.detail[_LINEAR] == "ok"
+    assert out.detail[_VANISHING] == ("ok" if bad is None else "FAIL")
+    assert out.witness == (None if bad is None else f"first mismatch at m={bad}")
+
+
+@pytest.mark.parametrize("factor, family, first_bad", [
+    # r - 5: r = 5 is admissible from m = 6 on
+    (((-5,), 1, 1), True, 6),
+    # r - 2*m + 6: admissible at m = 4 and 5 only, a bounded interval
+    (((6, -2), 1, 1), True, 4),
+    # 3r - m - 8: admissible at m = 7 and 10 (exempt), 13 (on the
+    # family) and 16, the |X| + 2 = 4th zero: the window bound is tight
+    (((-8, -1), 3, 1), True, 16),
+    # 2r - m + 8: admissible from m = 12 on, far above m = 4
+    (((8, -1), 2, 1), True, 12),
+    # r - 3*m + 12 without m + 1 - 2r: it meets r = (m+1)/2 at m = 5
+    # only, and m = 9 is the first odd m with no zero
+    (((12, -3), 1, 1), False, 9),
+], ids=["r-5", "r-2m+6", "tight-window", "far-interval", "no-family"])
+def test_scan_factors_fails_on_planted_r_factor(monkeypatch, factor, family,
+                                                first_bad):
+    m_factors, r_factors, special = closed_form_tables()
+    r_factors = tuple(rf for rf in r_factors if family or rf != _FAMILY)
+    r_factors += (factor,)
+    assert _reference_scan(m_factors, r_factors, 400) == first_bad
+    monkeypatch.setattr(checks, "closed_form_tables",
+                        lambda: (m_factors, r_factors, special))
+    out = run_check("scan-factors")
+    assert not out.passed
+    assert out.detail[_LINEAR] == "ok"
+    assert out.detail[_VANISHING] == "FAIL"
+    assert out.witness == f"first mismatch at m={first_bad}"
+
+
+def test_scan_factors_fails_on_nonlinear_r_factor(monkeypatch):
+    # m^2 - r: a(m) is quadratic, so the closed form does not apply
+    _plant(monkeypatch, r_factor=(((0, 0, 1), -1, 1),))
+    out = run_check("scan-factors")
+    assert not out.passed
+    assert out.detail[_LINEAR] == "FAIL"
+    assert out.witness == _LINEAR
+    assert _VANISHING not in out.detail
 
 
 def test_appendix_c_leading_subset():
@@ -463,7 +532,7 @@ CHECK_DIGESTS = {
     "kfconst":
         "12e556b8d9f46b43f02584ecae5ba6611cf0222878c26727ab5743febeb69bc4",
     "scan-factors":
-        "313a09b76cfef5c498c005082f9bca00ff8eeb4d98afd0ac00834d0d24802152",
+        "90b93e3fb5d1352b107e8db30c298f5951382a033cec6f36c0b248cc4cf3d3d6",
     "appendix-c-leading":
         "6da3f69566263100a03c81817d498e9d9ae72c4b369b536c97a0034b41c870a9",
 }

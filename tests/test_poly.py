@@ -8,6 +8,7 @@ from fractions import Fraction
 from conftest import (rand_nonzero, rand_poly, ref_eval, ref_from_multipoly,
                       ref_mul, ref_subst, ref_to_multipoly)
 
+from resverify.parser import parse
 from resverify.poly import (MAX_EXPONENT, VAR_INDEX, DegreeTooLow,
                             ExponentOverflow, InexactDivision,
                             MissingAssignment, MultiPoly, ZeroDivisor,
@@ -118,6 +119,14 @@ class TestCoefficientType:
     def test_quotient_is_fraction(self, make):
         q = make()
         assert q == Rat(3, 2) and type(q) is Fraction
+
+    @pytest.mark.parametrize("make", [
+        lambda: (4 * K + 2) * Rat(1, 2),
+        lambda: MultiPoly.const(Rat(4, 2)),
+        lambda: parse("4/2*k"),
+    ], ids=["scalar-product", "const", "parse"])
+    def test_integral_rat_becomes_int(self, make):
+        assert {type(co) for _, co in make().terms()} == {int}
 
     def test_integral_quotient_is_int(self):
         q = (6 * F).exact_div(MultiPoly.const(Rat(3, 2)))
