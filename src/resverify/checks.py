@@ -18,8 +18,8 @@ from .parser import format_poly
 from .parser import parse  # noqa: F401  (perfbench/spans.py traces checks.parse)
 from .poly import InexactDivision, MultiPoly, horner, pseudo_division
 from .ratio import Rat, quotient
-from .resultant import (gcd_subresultant, resultant, resultant_at,
-                        resultant_interp)
+from .resultant import gcd_subresultant, resultant, resultant_at, resultant_top
+from .resultant import resultant_interp  # noqa: F401  (perfbench/spans.py traces checks.resultant_interp)
 
 
 class UnknownCheck(KeyError):
@@ -488,6 +488,14 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     `reduce_to_z` gives to k^i f^j are even.  A pair with an odd
     f-exponent fails the perfect-square line at once.
 
+    Degree.  `resultant_top` at weight 2 reads the top of Res_u.  A term
+    k^q f^j of H becomes u^((q+j-3)/2) z^q, and q - (q+j-3) = 3 - j is
+    largest at j = 1, the lowest f-exponent of H: alpha = 2, and 3 for
+    K.  So top = 2*4 + 3*3 + 2*3*4 = 41, and a term's t-exponent is its
+    f-exponent minus 1.  The line "raw degree 80" (78 on m = 2r-1)
+    holds when every coefficient of Res_u above z^40 (z^39) vanishes and
+    that one does not; it is then lc_z Res_u, content included.
+
     Cofactor.  Res_u(A, B) is the Sylvester determinant of the u-degrees
     da = 3 (H) and db = 4 (K): db rows of coefficients of A and da rows
     of B, so Res_u(lambda*A, mu*B) = lambda^4 * mu^3 * Res_u(A, B) for
@@ -520,16 +528,18 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
         special = mm == 2 * rr - 1
         want_deg = 78 if special else 80
         if even:
-            res = resultant_interp(*halves, "f", "z")
-            ok = 2 * res.degree("z") == want_deg
-            if not run.expect(f"{tag} raw degree {want_deg}", ok,
-                              None if ok else res ** 2):
+            low = want_deg // 2
+            top, coeffs = resultant_top(*halves, "f", "z", 2, low)
+            ok = any(coeffs[-1:]) and not any(coeffs[:-1])
+            nonzero = [top - e for e, co in enumerate(coeffs) if co]
+            if not run.expect(f"{tag} raw degree {want_deg}", ok, f"top={top}, "
+                              f"read z^{top}..z^{low}, nonzero at z^{nonzero}"):
                 continue
         if not run.expect(f"{tag} primitive part is a perfect square", even):
             continue
         closed = (res_special_value(rr, cc) if special
                   else dominant_coef_value(mm, rr, cc))
-        lead = res.leading_coefficient()
+        lead = coeffs[-1]
         ok = 3 ** 10 * mm ** 3 * closed == -2 ** 38 * (mm - rr) ** 7 * lead
         run.expect(f"{tag} 3^10*m^3*closed == -2^38*(m-r)^7*lc_z Res_u", ok,
                    None if ok else f"lead={lead} closed={closed}")

@@ -19,7 +19,9 @@ integer point of the other variables by one integer resultant
 dehomogenised inputs at the nodes +-1, +-2, ... over an exponent range
 read off the Newton polygons of the columns, and takes each sample
 by the subresultant PRS (`kernels.resultant_int`), which computes it
-for the formal degrees; `sylvester` builds the Sylvester matrix itself.
+for the formal degrees; `resultant_top` reads a bivariate resultant's
+top coefficients off one Bezout determinant modulo a power of t;
+`sylvester` builds the Sylvester matrix itself.
 Formal degree 0 takes the same routes: a diagonal or empty Bezout
 matrix, and f_0^n or g_0^m from the PRS.
 Rational content of the inputs is cleared before the determinant and
@@ -213,21 +215,29 @@ def _primitive_pair(a: MultiPoly, b: MultiPoly, var: str):
     return da, db, prim_a, prim_b, cont_a ** db * cont_b ** da
 
 
+def _bezout_det(f: list, g: list) -> tuple[int, MultiPoly]:
+    """(sign, det): sign * det is the Sylvester determinant of the
+    ascending coefficient lists f, g at their formal degrees, from the
+    Bezout rows, by minors up to _MINOR_DET_MAX rows, by Bareiss above."""
+    sign = 1
+    if len(f) < len(g):
+        f, g, sign = g, f, (-1) ** ((len(f) - 1) * (len(g) - 1))
+    rows = _bezout_rows(f, g, MultiPoly.zero())
+    det = _minor_det if len(rows) <= _MINOR_DET_MAX else bareiss_det
+    return sign, det(rows)
+
+
 def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     """Textbook resultant of a and b w.r.t. var: the determinant of the
-    Bezout rows, by minors up to _MINOR_DET_MAX rows and by Bareiss
-    above (module docstring).  The determinant of the primitive parts
-    has integer coefficients; the content factor is applied as a product
-    by its numerator and an exact division by its denominator."""
-    da, db, prim_a, prim_b, factor = _primitive_pair(a, b, var)
-    a_coeffs = prim_a.coefficients_in(var)
-    b_coeffs = prim_b.coefficients_in(var)
-    if da < db:
-        a_coeffs, b_coeffs = b_coeffs, a_coeffs
-        factor *= (-1) ** (da * db)
-    rows = _bezout_rows(a_coeffs, b_coeffs, MultiPoly.zero())
-    det = _minor_det if len(rows) <= _MINOR_DET_MAX else bareiss_det
-    res = det(rows) * factor.numerator
+    Bezout rows (`_bezout_det`, module docstring).  The determinant of
+    the primitive parts has integer coefficients; the content factor is
+    applied as a product by its numerator and an exact division by its
+    denominator."""
+    _, _, prim_a, prim_b, factor = _primitive_pair(a, b, var)
+    sign, det = _bezout_det(prim_a.coefficients_in(var),
+                            prim_b.coefficients_in(var))
+    factor *= sign
+    res = det * factor.numerator
     den = factor.denominator
     return res if den == 1 else res.exact_div(MultiPoly.const(den))
 
@@ -267,6 +277,54 @@ def resultant_at(a: MultiPoly, b: MultiPoly, var: str,
 
     return factor * kernels.resultant_int(values(prim_a, da),
                                           values(prim_b, db))
+
+
+def _bivariate_pair(a: MultiPoly, b: MultiPoly, var: str, spectator: str):
+    """`_primitive_pair` for inputs in {var, spectator} alone."""
+    if spectator == var:
+        raise ValueError(f"the spectator must differ from {var!r}")
+    extra = (a.vars_used() | b.vars_used()) - {var, spectator}
+    if extra:
+        raise ValueError(f"inputs must be polynomials in {{{var}, {spectator}}}; "
+                         f"also saw {sorted(extra)}")
+    return _primitive_pair(a, b, var)
+
+
+def resultant_top(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
+                  weight: int, lowest: int) -> tuple[int, list]:
+    """(top, coeffs) for inputs in (v, s) = (var, spectator): top bounds
+    deg_s Res_v(a, b), and coeffs[e] is the coefficient of s^(top - e) in
+    resultant(a, b, var) for e < count = top - lowest + 1, read off one
+    determinant of `_bezout_rows` over Z[t] modulo t^count.
+
+    Proof.  Let alpha_a be the largest j - weight*i over the terms
+    c*v^i*s^j of a, and a^(v, t) = sum c*v^i*t^(alpha_a - j + weight*i),
+    in Z[v, t]; likewise b^.  Then a(s^-weight*v, s) = s^alpha_a *
+    a^(v, 1/s), and v -> lambda*v multiplies the resultant at the formal
+    degrees da, db by lambda^(da*db), so Res_v(a, b)(s) = s^top *
+    Res_v(a^, b^)(1/s), top = alpha_a*db + alpha_b*da + weight*da*db:
+    deg_s Res <= top, and s^(top - e) has the coefficient
+    [t^e] Res_v(a^, b^).  Reduction mod t^count is a ring map, so it
+    commutes with the determinant at the formal degrees, which
+    `_bezout_rows` proves equal to the Sylvester determinant also where
+    a leading column vanishes: only terms with t-exponent < count enter.
+    At weight -1, top is that of `resultant_interp` and its coefficient
+    the top forms' resultant.  Contents are applied as in `resultant`."""
+    da, db, prim_a, prim_b, factor = _bivariate_pair(a, b, var, spectator)
+    terms = [list(p.exponents(var, spectator)) for p in (prim_a, prim_b)]
+    alpha = [max(j - weight * i for (i, j), _ in ts) for ts in terms]
+    top = alpha[0] * db + alpha[1] * da + weight * da * db
+    count = top - lowest + 1
+    pad = (0,) * VAR_INDEX[spectator]
+    cols = [[{} for _ in range(deg + 1)] for deg in (da, db)]
+    for col, ts, high in zip(cols, terms, alpha):
+        for (i, j), co in ts:
+            if high - j + weight * i < count:
+                col[i][pad + (high - j + weight * i,)] = co
+    sign, det = _bezout_det(*([MultiPoly(c) for c in col] for col in cols))
+    det = det * (sign * factor)
+    return top, [det.coefficient(spectator, e).constant_value()
+                 for e in range(count)]
 
 
 def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:
@@ -364,26 +422,24 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     Encoding.  Let A, B be the largest total degrees of the primitive
     inputs' terms, da, db their v-degrees, and step >= 1 the gcd of
     A - d and B - d over the terms' total degrees d (1 if all are 0).
-    With a = sum c_ij v^i s^j, a(t*y, t) = t^A * a~(y, t^-step) for
-    a~(y, w) = sum c_ij y^i w^((A-i-j)/step), likewise b~ with B.
-    Res_y(f(t*y), g(t*y)) = t^(da*db)*Res_v(f, g) and the scalings t^A,
-    t^B give Res_v(a, b)(t) = t^top * Res_y(a~, b~)(t^-step) with
-    top = A*db + B*da - da*db: the coefficient of w^e is that of
-    s^(top - step*e), and every exponent of Res is congruent to top mod
-    step.  The columns (the coefficients of y^i, polynomials in w) are
-    sampled at the nodes w = 1, -1, 2, -2, ....
+    At weight -1, `resultant_top` proves Res_v(a, b)(s) =
+    s^top * Res_v(a^, b^)(1/s), top = A*db + B*da - da*db, where the
+    t-exponents A - i - j of a^ (B - i - j of b^) are multiples of step:
+    in w = t^step the coefficient of w^e is that of s^(top - step*e).
+    The columns (the coefficients of v^i, polynomials in w) are sampled
+    at the nodes w = 1, -1, 2, -2, ....
 
     Range (`_newton_range`, on the columns a_0..a_m, b_0..b_n,
     polynomials in one variable, m = da, n = db; a_m and b_n are
     nonzero, since they hold the terms of v-degree da and db).  If
-    a_0 = b_0 = 0, y divides both and the determinant is identically
+    a_0 = b_0 = 0, v divides both and the determinant is identically
     zero.  Otherwise, over the Puiseux series at infinity,
     Res = a_m^n*b_n^m*prod (alpha_i - beta_j) over the roots, and a root
-    of degree sigma makes two terms a_i*y^i of the top degree
+    of degree sigma makes two terms a_i*v^i of the top degree
     deg a_i + i*sigma meet: the root degrees are the negated slopes of
     the upper hull of the points (i, deg a_i), each segment holding as
     many roots as it is wide, and the first nonzero column's index
-    counts the roots y = 0 (degree -infinity).  With
+    counts the roots v = 0 (degree -infinity).  With
     deg(alpha - beta) <= max(deg alpha, deg beta),
     hi = n*deg a_m + m*deg b_n + sum_ij max(sigma_i, tau_j) bounds
     deg Res.  A segment of width p and drop d holds p roots of degree
@@ -402,22 +458,13 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     coefficient vanishes at w (Collins 1971).  Res has integer
     coefficients, so Newton interpolation at the integer nodes runs in
     integers with exact divisions.  A structural zero takes the guard
-    sample alone, which must vanish.  For the sweep pair in k at
-    c = +-1 that is f-exponents 25..107 in steps of 2, sampled in w of
-    degree at most 4 (f-degree 12): 42 coefficients and the guard, each
-    a resultant of formal degrees 8 and 11; in f every case is a
-    structural zero (f divides H and K), one resultant of formal degrees
-    9 and 12 whose constant coefficients both vanish.
+    sample alone, which must vanish.  The sweep pair in k at c = +-1
+    takes 42 coefficients (f^25..f^107, step 2) and the guard; in f
+    every case is a structural zero, as f divides H and K.
 
     deadline is an optional time.monotonic() timestamp; crossing it
     between samples raises ComputationTimeout."""
-    if spectator == var:
-        raise ValueError(f"the spectator must differ from {var!r}")
-    da, db, prim_a, prim_b, factor = _primitive_pair(a, b, var)
-    extra = (a.vars_used() | b.vars_used()) - {var, spectator}
-    if extra:
-        raise ValueError(f"inputs must be polynomials in {{{var}, {spectator}}}; "
-                         f"also saw {sorted(extra)}")
+    da, db, prim_a, prim_b, factor = _bivariate_pair(a, b, var, spectator)
     terms_a = list(prim_a.exponents(var, spectator))
     terms_b = list(prim_b.exponents(var, spectator))
     degs_a = {i + j for (i, j), _ in terms_a}

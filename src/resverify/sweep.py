@@ -8,7 +8,6 @@ the report lists them in grid order, which pool.map and the loop keep.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .catalog import _cleared_core, build_core
@@ -130,6 +129,12 @@ def run_case(mm: int, rr: int, cc: int, var: str,
     deg = res.degree(spectator)
     lead = str(res.coefficient(spectator, deg).constant_value())
     return CaseResult(mm, rr, cc, var, False, deg, lead, ms)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' process pool, imported when --jobs > 1 needs it."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _case_worker(args) -> CaseResult:

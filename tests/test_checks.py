@@ -473,6 +473,35 @@ def test_appendix_c_leading_fails_on_odd_f_exponent(monkeypatch):
     assert out.witness == label
 
 
+def test_appendix_c_leading_fails_on_raised_top(monkeypatch):
+    # new_h*(1 + z) is still even in f, and its Res_u gains (1 + z)^4:
+    # the bound rises to 45 and z^44..z^41 no longer vanish
+    build_core = checks.build_core
+
+    def planted(params):
+        core = build_core(params)
+        return SimpleNamespace(new_h=core.new_h * (1 + MultiPoly.var("z")),
+                               new_k=core.new_k)
+
+    monkeypatch.setattr(checks, "build_core", planted)
+    out = check_appendix_c_leading(samples=[(4, 2, 1)] * 40)
+    assert not out.passed
+    assert out.detail["(4,2,1) raw degree 80"] == "FAIL"
+    assert out.witness == ("top=45, read z^45..z^40, "
+                           "nonzero at z^[44, 43, 42, 41, 40]")
+
+
+def test_appendix_c_leading_builds_no_full_resultant(monkeypatch):
+    # the degree and the leading coefficient come from resultant_top
+    def refuse(*args, **kwargs):
+        raise AssertionError("appendix-c-leading built a full resultant")
+
+    monkeypatch.setattr(checks, "resultant_interp", refuse)
+    monkeypatch.setattr(checks, "resultant", refuse)
+    out = run_check("appendix-c-leading")
+    assert out.passed, out.witness
+
+
 def test_appendix_c_cofactor_contents():
     # the docstring's cofactor: the generic (m - r)-cleared pair has the
     # rational contents 3/32 and -9/64, (3/32)^4 * (-9/64)^3 = -3^10/2^38

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +148,23 @@ class TestSweep:
         catalog._cleared_core.cache_clear()
         run_sweep(SweepConfig(var="k", m_lo=4, m_hi=4, c_list=(1,), jobs=2))
         assert [filled for _, filled in pool_starts] == [1]
+
+    def test_import_loads_no_process_pool(self):
+        # only --jobs > 1 needs the pool: a fresh start through the
+        # package and the manifest loads neither it nor multiprocessing
+        src = str(Path(sweep.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "import resverify\n"
+                "from resverify import catalog\n"
+                "catalog.manifest()\n"
+                "print(sorted(m for m in ('concurrent.futures.process',\n"
+                "                         'multiprocessing')\n"
+                "             if m in sys.modules))\n")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_report_schema(self):
         cfg = SweepConfig(var="k", m_lo=7, m_hi=7, r_list=(3, 4), c_list=(1,))

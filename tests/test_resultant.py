@@ -10,6 +10,7 @@ from conftest import (BIVARIATE_SHAPES, SHAPES, cofactor_det, rand_nonzero,
 
 from resverify import kernels
 from resverify.catalog import build_core, manifest
+from resverify.checks import APPC_DEFAULT_SAMPLES
 from resverify.poly import MultiPoly, horner, int_coeffs, variables
 from resverify.ratio import Rat
 from resverify.resultant import (_MINOR_DET_MAX, BothConstant, ZeroInput,
@@ -17,7 +18,8 @@ from resverify.resultant import (_MINOR_DET_MAX, BothConstant, ZeroInput,
                                  _newton_interpolate, _newton_range,
                                  _sylvester_rows,
                                  bareiss_det, gcd_subresultant, resultant,
-                                 resultant_at, resultant_interp, sylvester)
+                                 resultant_at, resultant_interp,
+                                 resultant_top, sylvester)
 from resverify.sweep import run_case
 
 V = variables()
@@ -694,6 +696,70 @@ class TestResultantAt:
     def test_rejects_a_bad_point(self, point):
         with pytest.raises(ValueError, match="must assign an int"):
             resultant_at(K - F, K + F, "k", point)
+
+
+class TestResultantTop:
+    """resultant_top against the full symbolic resultant, down to the
+    constant coefficient, and against resultant_interp on the pairs of
+    appendix-c-leading."""
+
+    @staticmethod
+    def _agrees(a, b, weight):
+        res = resultant(a, b, "k")
+        top, coeffs = resultant_top(a, b, "k", "f", weight, 0)
+        assert res.is_zero() or res.degree("f") <= top
+        assert coeffs == [res.coefficient("f", top - e).constant_value()
+                          for e in range(top + 1)], (a, b, weight)
+        return top, coeffs
+
+    @pytest.mark.parametrize("weight", [-1, 0, 1, 2])
+    def test_agrees_with_the_symbolic_resultant(self, rng, weight):
+        shorter = 0
+        for _ in range(60):
+            a, b = (rand_nonzero(rng, names=("k", "f"), max_terms=4,
+                                 max_deg=3) * _content(rng) for _ in range(2))
+            if a.degree("k") or b.degree("k"):
+                self._agrees(a, b, weight)
+                shorter += a.degree("k") < b.degree("k")
+        assert shorter > 10
+
+    # (a, b): the leading column of a^ vanishes at t = 0 at every
+    # weight, and that of b^ at weights 0, 1 and 2 (alpha is taken in a
+    # lower column); deg_k a < deg_k b; a of formal degree 0
+    @pytest.mark.parametrize("a,b", [
+        (K ** 2 + F ** 2 * K + 1, K + F),
+        (K + F, K ** 3 + F * K + 2),
+        (F ** 2 + 1, K ** 2 - F),
+    ], ids=["vanishing-leading-column", "da<db", "formal-degree-0"])
+    @pytest.mark.parametrize("weight", [-1, 0, 1, 2])
+    def test_edge_pairs(self, a, b, weight):
+        self._agrees(a, b, weight)
+        self._agrees(b, a, weight)
+
+    def test_bound_above_a_vanishing_leading_column(self):
+        # weight 0: a^ = t^2*k^2 + k + t^2 and b^ = t*k + 1, so
+        # top = 2*1 + 1*2 = 4; Res = a(-f) = -f^3 + f^2 + 1 stays below
+        # it, as both leading columns vanish at t = 0
+        top, coeffs = self._agrees(K ** 2 + F ** 2 * K + 1, K + F, 0)
+        assert top == 4 and coeffs == [0, -1, 1, 0, 1]
+
+    def test_rejects_extra_variables_and_the_variable_as_spectator(self):
+        with pytest.raises(ValueError):
+            resultant_top(K + M, K + F, "k", "f", 0, 0)
+        with pytest.raises(ValueError):
+            resultant_top(K ** 2 + 1, K - 3, "k", "k", 0, 0)
+
+    def test_top_coefficients_of_the_appendix_pairs(self):
+        # weight 2 and the bound 41 of check_appendix_c_leading, three
+        # coefficients, against the full interpolated Res_u
+        for params in APPC_DEFAULT_SAMPLES:
+            core = build_core(params)
+            halves = [p.halve_exponents("f") for p in (core.new_h, core.new_k)]
+            res = resultant_interp(*halves, "f", "z")
+            top, coeffs = resultant_top(*halves, "f", "z", 2, 39)
+            assert top == 41, params
+            assert coeffs == [res.coefficient("z", top - e).constant_value()
+                              for e in range(3)], params
 
 
 class TestSpecializationConsistency:
