@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .parser import Manifest, load_manifest, parse
 from .poly import DegreeTooLow  # noqa: F401  (raised by reduce_to_z)
-from .poly import MultiPoly, horner, int_coeffs, prem
+from .poly import AtPlan, MultiPoly, horner, int_coeffs, prem
 
 MANIFEST_TEXT = """\
 # elimination sources (the coefficients of the two first-order unknowns)
@@ -156,18 +156,29 @@ def res_special_value(rr: int, cc: int) -> int:
     return value
 
 
+# the names a specialization (m, r, c) substitutes, in one pass
+_PARAMS = ("m", "r", "c")
+
+
 @lru_cache(maxsize=1)
-def _cleared_core() -> tuple[MultiPoly, int, MultiPoly, MultiPoly, int]:
-    """(hgen, d_h, num, den, d_f): Hgen = hgen/d_h, NumDerF = num/d_f
-    and DenDerF = den/d_f with integer-coefficient hgen, num and den.
-    Filled by the first build_core, never at import or by manifest()."""
+def _cleared_core() -> tuple[MultiPoly, int, MultiPoly, MultiPoly, int,
+                             tuple[AtPlan, AtPlan, AtPlan]]:
+    """(hgen, d_h, num, den, d_f, plans): Hgen = hgen/d_h,
+    NumDerF = num/d_f and DenDerF = den/d_f with integer-coefficient
+    hgen, num and den, and plans their `AtPlan`s for the names m, r, c,
+    so that each specialization (m, r, c) only applies them.  Filled by
+    the first build_core, never at import or by manifest();
+    `sweep.run_sweep` fills it before its pool forks, so that every
+    worker inherits the plans."""
     man = manifest()
     hgen, d_h = man["Hgen"].cleared()
     num, d_num = man["NumDerF"].cleared()
     den, d_den = man["DenDerF"].cleared()
     d_f = math.lcm(d_num, d_den)
-    return (MultiPoly(hgen), d_h, MultiPoly(num) * (d_f // d_num),
-            MultiPoly(den) * (d_f // d_den), d_f)
+    hgen, num, den = (MultiPoly(hgen), MultiPoly(num) * (d_f // d_num),
+                      MultiPoly(den) * (d_f // d_den))
+    return (hgen, d_h, num, den, d_f,
+            tuple(AtPlan(p, _PARAMS) for p in (hgen, num, den)))
 
 
 class CoreCatalog:
@@ -178,9 +189,11 @@ class CoreCatalog:
     substitutes the integers and divides (m - r) back out, so H and K
     carry the exact rational coefficients; c None keeps c symbolic.
     The pair is built in integers: the cleared Hgen, NumDerF and
-    DenDerF (_cleared_core) take all parameter values in one pass
-    (`MultiPoly.at`), K = H_f*NumDerF + H_k*DenDerF is formed by integer
-    products, and each result is divided by its denominator once.
+    DenDerF (_cleared_core) take all parameter values in one pass, by
+    their cached `AtPlan`s when m, r and c are all given and by
+    `MultiPoly.at` otherwise; K = H_f*NumDerF + H_k*DenDerF is formed
+    by integer products, and each result is divided by its denominator
+    once.
     """
 
     def __init__(self, params: tuple[int, int, int | None] | None = None):
@@ -197,7 +210,9 @@ class CoreCatalog:
             if c0 is not None:
                 self._values["c"] = c0
             scale = m0 - r0
-        hgen, d_h, num, den, d_f = _cleared_core()
+        hgen, d_h, num, den, d_f, plans = _cleared_core()
+        if tuple(self._values) == _PARAMS:
+            hgen, num, den = plans
         h = hgen.at(self._values)
         k = (h.derivative("f") * num.at(self._values)
              + h.derivative("k") * den.at(self._values))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from typing import Iterable, Iterator, Mapping
 
 from . import kernels
@@ -310,9 +311,9 @@ class MultiPoly:
 
     def at(self, values: Mapping[str, object]) -> "MultiPoly":
         """Each variable of values replaced by its number (int or Rat),
-        all in one subst_dict pass."""
-        return MultiPoly._raw(subst_dict(
-            self._d, [(name, _rat(v)) for name, v in values.items()]))
+        all at once: subst_dict builds the plan of the substitution and
+        applies it (`AtPlan` keeps the plan for many points)."""
+        return MultiPoly._raw(subst_dict(self._d, values.items()))
 
     def evaluate(self, assignment: Mapping[str, object]):
         """Exact value under a full variable assignment (ring homomorphism)."""
@@ -456,48 +457,105 @@ def variables() -> dict[str, MultiPoly]:
     return {name: MultiPoly.var(name) for name in VAR_NAMES}
 
 
+def subst_plan(d: dict, names) -> tuple:
+    """The value-free half of substituting numbers for names in a raw
+    key -> coeff dict, in one pass over its terms:
+    (tops, columns, count, coeffs, monomial, keys, slots).
+
+    The count distinct monomials of d in the names are numbered in
+    order of appearance; columns holds, per name, their exponents in
+    that order, and tops the largest of each column.  Removing the
+    names from a term's key gives its output key; keys lists the
+    distinct output keys.  coeffs and monomial give every term's
+    coefficient and monomial number: first the first term of each
+    output key, in the order of keys, then the other terms, whose
+    output key is keys[slot] for the matching entry of slots."""
+    shifts, mask = [], 0
+    for name in names:
+        sh = _SHIFTS[_check_var(name)]
+        shifts.append(sh)
+        mask |= _FIELD_MASK << sh
+    seen: dict[int, tuple[int, int]] = {}  # monomial -> (number, strip)
+    slot_of: dict[int, int] = {}
+    coeffs, monomial, more_coeffs, more_monomial, slots = [], [], [], [], []
+    for key, coeff in d.items():
+        sub = key & mask
+        hit = seen.get(sub)
+        if hit is None:
+            total = 0
+            for sh in shifts:
+                total += (sub >> sh) & _FIELD_MASK
+            hit = seen[sub] = (len(seen), sub | (total << _DEG_SHIFT))
+        i, strip = hit
+        out = key - strip
+        slot = slot_of.get(out)
+        if slot is None:
+            slot_of[out] = len(coeffs)
+            coeffs.append(coeff)
+            monomial.append(i)
+        else:
+            slots.append(slot)
+            more_coeffs.append(coeff)
+            more_monomial.append(i)
+    columns = [[(sub >> sh) & _FIELD_MASK for sub in seen] for sh in shifts]
+    tops = list(map(max, columns)) if seen else [0] * len(shifts)
+    return (tops, columns, len(seen), coeffs + more_coeffs,
+            monomial + more_monomial, list(slot_of), slots)
+
+
+_value_of = operator.itemgetter(1)  # of a (key, value) pair
+
+
+def subst_apply(plan: tuple, values) -> dict:
+    """The raw dict of a subst_plan at values (one int or Rat per name,
+    in the plan's order).  Each name's powers up to its top give every
+    monomial's value, one product per name and monomial; each term's
+    coefficient is multiplied by its monomial's value, the products are
+    summed per output key, and zero sums are dropped.  int with int
+    stays int."""
+    tops, columns, count, coeffs, monomial, keys, slots = plan
+    worth = [1] * count
+    for top, value, col in zip(tops, values, columns):
+        powers = [1]
+        for _ in range(top):
+            powers.append(powers[-1] * value)
+        worth = list(map(operator.mul, worth, map(powers.__getitem__, col)))
+    prods = list(map(operator.mul, coeffs, map(worth.__getitem__, monomial)))
+    sums = prods[:len(keys)]
+    for slot, prod in zip(slots, prods[len(keys):]):
+        sums[slot] += prod
+    return dict(filter(_value_of, zip(keys, sums)))
+
+
 def subst_dict(d: dict, values) -> dict:
     """A raw key -> coeff dict with each (name, value) pair of values
-    substituted, in one pass over the keys.  Each distinct monomial in
-    the substituted variables is valued once from per-variable power
-    tables; a term's coefficient is multiplied by its monomial's value,
-    the variables leave its key, and equal keys merge.  Coefficients
-    and values are int or Rat; int with int stays int."""
-    fields = [_SHIFTS[_check_var(name)] for name, _ in values]
-    mask = 0
-    for sh in fields:
-        mask |= _FIELD_MASK << sh
-    subs = {key & mask for key in d}
-    tables = []
-    for sh, (_, value) in zip(fields, values):
-        powers = [1]
-        for _ in range(max(((sub >> sh) & _FIELD_MASK for sub in subs), default=0)):
-            powers.append(powers[-1] * value)
-        tables.append((sh, powers))
-    monomials = {}
-    for sub in subs:
-        factor, total = 1, 0
-        for sh, powers in tables:
-            e = (sub >> sh) & _FIELD_MASK
-            factor *= powers[e]
-            total += e
-        monomials[sub] = (factor, sub | (total << _DEG_SHIFT))
-    out = {}
-    for key, coeff in d.items():
-        factor, strip = monomials[key & mask]
-        coeff *= factor
-        if not coeff:
-            continue
-        key -= strip
-        if key in out:
-            cc = out[key] + coeff
-            if cc:
-                out[key] = cc
-            else:
-                del out[key]
-        else:
-            out[key] = coeff
-    return out
+    substituted: subst_plan, then subst_apply.  Coefficients and values
+    are int or Rat (a value passes `_rat`); int with int stays int."""
+    names, numbers = zip(*values) if values else ((), ())
+    return subst_apply(subst_plan(d, names), list(map(_rat, numbers)))
+
+
+class AtPlan:
+    """`MultiPoly.at` of one polynomial at a fixed tuple of names, split
+    so that the value-free half (subst_plan) is built once and only
+    subst_apply runs per point: plan = AtPlan(p, ("m", "r")) gives
+    plan.at({"m": 5, "r": 3}) == p.at({"m": 5, "r": 3})."""
+
+    __slots__ = ("names", "_plan")
+
+    def __init__(self, p: MultiPoly, names):
+        self.names = tuple(names)
+        if len(set(self.names)) != len(self.names):
+            raise ValueError(f"repeated name in {self.names}")
+        self._plan = subst_plan(p._d, self.names)
+
+    def at(self, values: Mapping[str, object]) -> MultiPoly:
+        """The polynomial at values, a number (int or Rat) for each of
+        the names and for nothing else."""
+        if set(values) != set(self.names):
+            raise ValueError(f"values must assign exactly {self.names}")
+        return MultiPoly._raw(subst_apply(
+            self._plan, [_rat(values[name]) for name in self.names]))
 
 
 def horner(coeffs, x):

@@ -20,7 +20,8 @@ dehomogenised inputs at the nodes +-1, +-2, ... over an exponent range
 read off the Newton polygons of the columns, and takes each sample
 by the subresultant PRS (`kernels.resultant_int`), which computes it
 for the formal degrees; `resultant_top` reads a bivariate resultant's
-top coefficients off one Bezout determinant modulo a power of t;
+top coefficients off one Bezout determinant over Z[t]/(t^n), expanded
+in minors;
 `sylvester` builds the Sylvester matrix itself.
 Formal degree 0 takes the same routes: a diagonal or empty Bezout
 matrix, and f_0^n or g_0^m from the PRS.
@@ -35,7 +36,7 @@ import math
 import time
 
 from . import kernels
-from .poly import VAR_INDEX, MultiPoly, _content_in, _prs_gcd, horner
+from .poly import VAR_INDEX, MultiPoly, _content_in, _prs_gcd, _rat, horner
 
 
 class ZeroInput(ValueError):
@@ -130,9 +131,13 @@ def sylvester(a: MultiPoly, b: MultiPoly, var: str) -> list[list[MultiPoly]]:
 _MINOR_DET_MAX = 4
 
 
-def _minor_det(rows: list[list[MultiPoly]]) -> MultiPoly:
-    """Exact determinant of a square MultiPoly matrix by expansion in
-    minors, division-free.
+_ZERO, _ONE = MultiPoly.zero(), MultiPoly.const(1)
+
+
+def _minor_det(rows: list[list], zero=_ZERO, one=_ONE):
+    """Exact determinant of a square matrix by expansion in minors,
+    division-free, so over any commutative ring whose zero and one are
+    given (MultiPoly by default; `resultant_top` passes Z[t]/(t^n)).
 
     The minors of the leading j columns are kept in a dict keyed by
     their row set (a bitmask); the minor on rows S + {i} and columns
@@ -145,10 +150,10 @@ def _minor_det(rows: list[list[MultiPoly]]) -> MultiPoly:
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
     if n == 0:
-        return MultiPoly.const(1)
+        return one
     minors = {1 << i: row[0] for i, row in enumerate(rows) if row[0]}
     for j in range(1, n):
-        wider: dict[int, MultiPoly] = {}
+        wider: dict[int, object] = {}
         for mask, minor in minors.items():
             for i in range(n):
                 bit = 1 << i
@@ -161,7 +166,7 @@ def _minor_det(rows: list[list[MultiPoly]]) -> MultiPoly:
                 key = mask | bit
                 wider[key] = wider[key] + term if key in wider else term
         minors = {mask: minor for mask, minor in wider.items() if minor}
-    return minors.get((1 << n) - 1, MultiPoly.zero())
+    return minors.get((1 << n) - 1, zero)
 
 
 def bareiss_det(rows: list[list[MultiPoly]]) -> MultiPoly:
@@ -215,16 +220,20 @@ def _primitive_pair(a: MultiPoly, b: MultiPoly, var: str):
     return da, db, prim_a, prim_b, cont_a ** db * cont_b ** da
 
 
-def _bezout_det(f: list, g: list) -> tuple[int, MultiPoly]:
+def _bezout_det(f: list, g: list, zero=_ZERO, one=_ONE) -> tuple[int, object]:
     """(sign, det): sign * det is the Sylvester determinant of the
     ascending coefficient lists f, g at their formal degrees, from the
-    Bezout rows, by minors up to _MINOR_DET_MAX rows, by Bareiss above."""
+    Bezout rows over the entries' ring (zero and one given, MultiPoly by
+    default): by minors up to _MINOR_DET_MAX rows, by Bareiss above.
+    Bareiss divides exactly, which only MultiPoly entries offer; any
+    other ring takes minors at every size."""
     sign = 1
     if len(f) < len(g):
         f, g, sign = g, f, (-1) ** ((len(f) - 1) * (len(g) - 1))
-    rows = _bezout_rows(f, g, MultiPoly.zero())
-    det = _minor_det if len(rows) <= _MINOR_DET_MAX else bareiss_det
-    return sign, det(rows)
+    rows = _bezout_rows(f, g, zero)
+    if len(rows) > _MINOR_DET_MAX and isinstance(zero, MultiPoly):
+        return sign, bareiss_det(rows)
+    return sign, _minor_det(rows, zero, one)
 
 
 def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
@@ -290,12 +299,59 @@ def _bivariate_pair(a: MultiPoly, b: MultiPoly, var: str, spectator: str):
     return _primitive_pair(a, b, var)
 
 
+class _Truncated:
+    """An element of Z[t]/(t^n), the ring in which
+    `resultant_top` takes its determinant: the ascending coefficients of
+    t^0..t^(n-1), trailing zeros stripped, so that zero is the empty
+    list.  +, - and * are the ring's; a product drops every term of
+    degree n and above as it is formed."""
+
+    __slots__ = ("coeffs", "n")
+
+    def __init__(self, coeffs: list, n: int):
+        """coeffs is a fresh list, stripped and cut to n in place."""
+        del coeffs[n:]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.coeffs = coeffs
+        self.n = n
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __neg__(self) -> "_Truncated":
+        return _Truncated([-co for co in self.coeffs], self.n)
+
+    def __add__(self, other: "_Truncated") -> "_Truncated":
+        out = self.coeffs + [0] * (len(other.coeffs) - len(self.coeffs))
+        for i, co in enumerate(other.coeffs):
+            out[i] += co
+        return _Truncated(out, self.n)
+
+    def __sub__(self, other: "_Truncated") -> "_Truncated":
+        return self + -other
+
+    def __mul__(self, other: "_Truncated") -> "_Truncated":
+        a, b, n = self.coeffs, other.coeffs, self.n
+        if not a or not b:
+            return _Truncated([], n)
+        out = [0] * min(len(a) + len(b) - 1, n)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[:n - i]):
+                    out[i + j] += x * y
+        return _Truncated(out, n)
+
+
 def resultant_top(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
                   weight: int, lowest: int) -> tuple[int, list]:
     """(top, coeffs) for inputs in (v, s) = (var, spectator): top bounds
     deg_s Res_v(a, b), and coeffs[e] is the coefficient of s^(top - e) in
     resultant(a, b, var) for e < count = top - lowest + 1, read off one
-    determinant of `_bezout_rows` over Z[t] modulo t^count.
+    determinant of `_bezout_rows` over Z[t]/(t^count): every entry,
+    product and minor is reduced mod t^count as it is formed
+    (`_Truncated`), and the determinant is expanded in minors
+    (`_minor_det`) at every size, since Bareiss would divide.
 
     Proof.  Let alpha_a be the largest j - weight*i over the terms
     c*v^i*s^j of a, and a^(v, t) = sum c*v^i*t^(alpha_a - j + weight*i),
@@ -307,24 +363,26 @@ def resultant_top(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     [t^e] Res_v(a^, b^).  Reduction mod t^count is a ring map, so it
     commutes with the determinant at the formal degrees, which
     `_bezout_rows` proves equal to the Sylvester determinant also where
-    a leading column vanishes: only terms with t-exponent < count enter.
+    a leading column vanishes: the determinant of the reduced entries,
+    taken in Z[t]/(t^count), is Res_v(a^, b^) mod t^count.
     At weight -1, top is that of `resultant_interp` and its coefficient
-    the top forms' resultant.  Contents are applied as in `resultant`."""
+    the top forms' resultant.  Contents are applied as in `resultant`,
+    and an integral coefficient is returned as an int."""
     da, db, prim_a, prim_b, factor = _bivariate_pair(a, b, var, spectator)
     terms = [list(p.exponents(var, spectator)) for p in (prim_a, prim_b)]
     alpha = [max(j - weight * i for (i, j), _ in ts) for ts in terms]
     top = alpha[0] * db + alpha[1] * da + weight * da * db
-    count = top - lowest + 1
-    pad = (0,) * VAR_INDEX[spectator]
-    cols = [[{} for _ in range(deg + 1)] for deg in (da, db)]
+    count = max(top - lowest + 1, 0)
+    cols = [[[0] * count for _ in range(deg + 1)] for deg in (da, db)]
     for col, ts, high in zip(cols, terms, alpha):
         for (i, j), co in ts:
             if high - j + weight * i < count:
-                col[i][pad + (high - j + weight * i,)] = co
-    sign, det = _bezout_det(*([MultiPoly(c) for c in col] for col in cols))
-    det = det * (sign * factor)
-    return top, [det.coefficient(spectator, e).constant_value()
-                 for e in range(count)]
+                col[i][high - j + weight * i] = co
+    sign, det = _bezout_det(
+        *([_Truncated(c, count) for c in col] for col in cols),
+        _Truncated([], count), _Truncated([1], count))
+    coeffs = det.coeffs + [0] * (count - len(det.coeffs))
+    return top, [_rat(co * sign * factor) for co in coeffs]
 
 
 def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:

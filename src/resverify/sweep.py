@@ -149,7 +149,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             for (mm, rr, cc) in cases]
     if config.jobs > 1 and len(cases) > 1:
         # fill the case-build cache here, once: forked workers inherit it
-        # instead of each clearing the entries again
+        # instead of each clearing the entries and planning their
+        # specialization again
         _cleared_core()
         # a forked pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(cases))) as pool:

@@ -11,7 +11,7 @@ from conftest import rand_poly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resverify import checks
+from resverify import catalog, checks, poly
 from resverify.catalog import closed_form_tables, manifest
 from resverify.checks import (CHECK_NAMES, UnknownCheck,
                               check_appendix_c_leading, integer_roots,
@@ -500,6 +500,25 @@ def test_appendix_c_leading_builds_no_full_resultant(monkeypatch):
     monkeypatch.setattr(checks, "resultant", refuse)
     out = run_check("appendix-c-leading")
     assert out.passed, out.witness
+
+
+def test_appendix_c_leading_builds_each_plan_once(monkeypatch):
+    # the 46 default samples specialize Hgen, NumDerF and DenDerF from
+    # the plans cached with the cleared core, built once for (m, r, c);
+    # a one-shot MultiPoly.at per sample would build a plan each time
+    built = []
+    plan = poly.subst_plan
+
+    def spy(d, names):
+        built.append((id(d), tuple(names)))
+        return plan(d, names)
+
+    monkeypatch.setattr(poly, "subst_plan", spy)
+    catalog._cleared_core.cache_clear()
+    out = check_appendix_c_leading()
+    assert out.passed, out.witness
+    assert len(built) == len(set(built)) == 3
+    assert {names for _, names in built} == {("m", "r", "c")}
 
 
 def test_appendix_c_cofactor_contents():

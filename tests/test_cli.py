@@ -25,14 +25,17 @@ def _failing(a, b, var, spectator, deadline=None):
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """(pool size, case-build cache entries) at each pool start; the
-    stand-in pool runs the cases in this process."""
+    """(pool size, case-build cache entries, names of the cached
+    specialization plans) at each pool start; the stand-in pool runs the
+    cases in this process."""
     starts = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            starts.append((max_workers,
-                           catalog._cleared_core.cache_info().currsize))
+            filled = catalog._cleared_core.cache_info().currsize
+            plans = catalog._cleared_core()[-1] if filled else ()
+            starts.append((max_workers, filled,
+                           [plan.names for plan in plans]))
 
         def __enter__(self):
             return self
@@ -140,14 +143,15 @@ class TestSweep:
         cfg = SweepConfig(var="k", m_lo=4, m_hi=4, c_list=(1,), jobs=100000)
         report = run_sweep(cfg)
         assert [res.key() for res in report.results] == [(4, 2, 1), (4, 3, 1)]
-        assert [size for size, _ in pool_starts] == [2]
+        assert [size for size, _, _ in pool_starts] == [2]
 
     def test_case_build_cache_filled_before_pool(self, pool_starts):
-        # forked workers inherit the cleared catalog entries instead of
-        # each clearing them again
+        # forked workers inherit the cleared catalog entries and their
+        # specialization plans instead of each building them again
         catalog._cleared_core.cache_clear()
         run_sweep(SweepConfig(var="k", m_lo=4, m_hi=4, c_list=(1,), jobs=2))
-        assert [filled for _, filled in pool_starts] == [1]
+        assert [start[1:] for start in pool_starts] == \
+            [(1, [("m", "r", "c")] * 3)]
 
     def test_import_loads_no_process_pool(self):
         # only --jobs > 1 needs the pool: a fresh start through the

@@ -9,10 +9,11 @@ from conftest import (rand_nonzero, rand_poly, ref_eval, ref_from_multipoly,
                       ref_mul, ref_subst, ref_to_multipoly)
 
 from resverify.parser import parse
-from resverify.poly import (MAX_EXPONENT, VAR_INDEX, DegreeTooLow,
+from resverify.poly import (MAX_EXPONENT, VAR_INDEX, AtPlan, DegreeTooLow,
                             ExponentOverflow, InexactDivision,
                             MissingAssignment, MultiPoly, ZeroDivisor,
-                            gcd, horner, int_coeffs, pseudo_division,
+                            encode_exponents, gcd, horner, int_coeffs,
+                            pseudo_division,
                             subst_dict, variables)
 from resverify.ratio import Rat
 
@@ -222,6 +223,107 @@ class TestSubstitute:
             assert all(type(co) is int for co in nums.values())
             assert type(den) is int and den >= 1
             assert MultiPoly(nums) * Rat(1, den) == p
+
+
+def _decoded_at(p: MultiPoly, values: dict) -> MultiPoly:
+    """p.at(values) by its definition on decoded exponent tuples: each
+    term's coefficient times value^e for each name with e > 0, those
+    exponents set to 0, equal tuples summed in term order, zero sums
+    dropped.  A value that is an integral Rat enters as an int, as any
+    coefficient does; products and sums are kept as they come out
+    (MultiPoly() would turn an integral Rat into an int)."""
+    values = {name: v.numerator if v.denominator == 1 else v
+              for name, v in values.items()}
+    out: dict = {}
+    for exps, co in p.terms():
+        exps = list(exps)
+        for name, value in values.items():
+            if exps[VAR_INDEX[name]]:
+                co = co * value ** exps[VAR_INDEX[name]]
+                exps[VAR_INDEX[name]] = 0
+        key = tuple(exps)
+        out[key] = out[key] + co if key in out else co
+    return MultiPoly._raw({encode_exponents(k): co
+                           for k, co in out.items() if co})
+
+
+class TestAtPlan:
+    """`MultiPoly.at` (subst_plan, then subst_apply) and `AtPlan`
+    against the decoded-exponent definition, coefficient types
+    included: int with int stays int."""
+
+    NAMES = ("f", "k", "m", "r", "c")
+
+    @staticmethod
+    def _same(got: MultiPoly, want: MultiPoly):
+        assert got == want
+        assert ([type(co) for _, co in got.terms()]
+                == [type(co) for _, co in want.terms()])
+
+    def _draw(self, rng, fractional: bool) -> MultiPoly:
+        p = rand_poly(rng, names=self.NAMES, max_terms=12, max_deg=3)
+        if fractional:
+            p = p * Rat(rng.randint(1, 5), rng.randint(2, 7))
+        return p
+
+    def _value(self, rng, fractional: bool):
+        if fractional:
+            return Rat(rng.randint(-4, 4), rng.randint(1, 5))
+        return rng.randint(-4, 4)
+
+    @pytest.mark.parametrize("fractional", [False, True],
+                             ids=["int", "fraction"])
+    def test_matches_the_definition(self, rng, fractional):
+        for _ in range(150):
+            p = self._draw(rng, fractional and rng.random() < 0.5)
+            names = rng.sample(self.NAMES, rng.randint(1, 4))
+            values = {name: self._value(rng, fractional) for name in names}
+            self._same(p.at(values), _decoded_at(p, values))
+
+    def test_terms_that_cancel(self, rng):
+        # (m - v)*q at m = v is zero, and p + (m - v)*q at m = v is p's
+        # value: every term of (m - v)*q lands on a key that cancels
+        for _ in range(60):
+            p, q = (self._draw(rng, False) for _ in range(2))
+            v = rng.randint(-3, 3)
+            values = {"m": v, "r": rng.randint(-3, 3)}
+            planted = (M - v) * q.at({"m": 0})
+            assert planted.at(values).is_zero()
+            self._same((p + planted).at(values), _decoded_at(p, values))
+        assert (F * M - 2 * F).at({"m": 2}).is_zero()
+
+    def test_absent_names_and_the_empty_mapping(self, rng):
+        for _ in range(40):
+            p = rand_poly(rng, names=("f", "k", "m"), max_terms=8)
+            self._same(p.at({}), p)
+            self._same(p.at({"alpha": 3, "beta": Rat(1, 2)}), p)
+            self._same(p.at({"alpha": 3, "m": -2}), _decoded_at(p, {"m": -2}))
+        assert MultiPoly.zero().at({"m": 1}).is_zero()
+
+    @pytest.mark.parametrize("fractional", [False, True],
+                             ids=["int", "fraction"])
+    def test_one_plan_at_many_points(self, rng, fractional):
+        for _ in range(20):
+            p = self._draw(rng, fractional)
+            names = tuple(rng.sample(("m", "r", "c", "alpha"), 3))
+            plan = AtPlan(p, names)
+            for _ in range(10):
+                values = {name: self._value(rng, fractional)
+                          for name in reversed(names)}
+                self._same(plan.at(values), p.at(values))
+
+    def test_plan_refusals(self):
+        plan = AtPlan(F * M + R, ("m", "r"))
+        with pytest.raises(ValueError):
+            plan.at({"m": 1})
+        with pytest.raises(ValueError):
+            plan.at({"m": 1, "c": 2})
+        with pytest.raises(TypeError):
+            plan.at({"m": 1.5, "r": 2})
+        with pytest.raises(ValueError):
+            AtPlan(F * M, ("m", "m"))
+        with pytest.raises(KeyError):
+            AtPlan(F * M, ("x",))
 
 
 class TestCoefficientDerivative:

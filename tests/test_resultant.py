@@ -743,6 +743,47 @@ class TestResultantTop:
         top, coeffs = self._agrees(K ** 2 + F ** 2 * K + 1, K + F, 0)
         assert top == 4 and coeffs == [0, -1, 1, 0, 1]
 
+    def test_more_rows_than_minor_det_max(self, rng):
+        # over Z[t]/(t^n) the Bezout determinant is expanded in minors at
+        # every size: Bareiss would divide
+        pairs = [(K ** 5 + F * K ** 3 - 2 * F ** 2 * K + 3, K ** 3 - F * K + F),
+                 (K ** 6 - F, K ** 2 + F ** 2 * K - 1)]
+        while len(pairs) < 8:
+            a, b = (rand_nonzero(rng, names=("k", "f"), max_terms=5,
+                                 max_deg=6) for _ in range(2))
+            if max(a.degree("k"), b.degree("k")) > _MINOR_DET_MAX:
+                pairs.append((a, b))
+        for a, b in pairs:
+            for weight in (-1, 0, 2):
+                self._agrees(a, b, weight)
+                self._agrees(b, a, weight)
+
+    @pytest.mark.parametrize("a,b", [
+        (F ** 2 + 1, 2 * F - 3),
+        (F ** 2 + 1, K ** 3 - F * K + 2),
+        (3 * F + 1, 2 * K ** 2 - F),
+    ], ids=["both", "first", "first-with-content"])
+    def test_formal_degree_zero_in_both_orders(self, a, b):
+        for weight in (-1, 0, 1, 2):
+            self._agrees(a, b, weight)
+            self._agrees(b, a, weight)
+        # two inputs free of k: the empty Bezout matrix, determinant 1
+        assert resultant_top(F ** 2 + 1, 2 * F - 3, "k", "f", 0, 0) == (0, [1])
+
+    def test_integral_coefficients_come_back_as_int(self):
+        # content 3/4 of b: Res = (3/4)^2 * a(2f)*a(-2f)
+        # = 27/4*f^4 + 36*f^2 + 36, integral but for one coefficient
+        a = K ** 2 + F * K + 8
+        b = Rat(3, 4) * (K ** 2 - 4 * F ** 2)
+        top, coeffs = resultant_top(a, b, "k", "f", -1, 0)
+        res = resultant(a, b, "k")
+        assert coeffs == [res.coefficient("f", top - e).constant_value()
+                          for e in range(top + 1)]
+        assert coeffs == [Rat(27, 4), 0, 36, 0, 36]
+        assert any(type(co) is int and co for co in coeffs)
+        assert any(type(co) is Rat for co in coeffs)
+        assert all(type(co) is int for co in coeffs if co.denominator == 1)
+
     def test_rejects_extra_variables_and_the_variable_as_spectator(self):
         with pytest.raises(ValueError):
             resultant_top(K + M, K + F, "k", "f", 0, 0)
