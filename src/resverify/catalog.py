@@ -168,7 +168,7 @@ def _cleared_core() -> tuple[MultiPoly, int, MultiPoly, MultiPoly, int,
     hgen, num and den, and plans their `AtPlan`s for the names m, r, c,
     so that each specialization (m, r, c) only applies them.  Filled by
     the first build_core, never at import or by manifest();
-    `sweep.run_sweep` fills it before its pool forks, so that every
+    `sweep.run_sweep` fills it before it forks its workers, so that every
     worker inherits the plans."""
     man = manifest()
     hgen, d_h = man["Hgen"].cleared()

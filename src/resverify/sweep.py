@@ -2,11 +2,22 @@
 
 Each case is independent (immutable inputs, one worker computes one
 case), so results are deterministic and independent of worker count;
-the report lists them in grid order, which pool.map and the loop keep.
+the report lists them in grid order.
+
+With --jobs N > 1 the sweep forks min(N, cases) workers itself
+(`_fork_map`).  Fork, not spawn: the workers inherit the case-build
+cache that the parent fills first (`catalog._cleared_core`), and the
+cases themselves, so nothing is sent per case but its index.  Before
+forking, the parent writes every case index into one pipe and closes
+it; each worker reads the next index when it is free, so a faster
+worker takes more cases, and writes each result back on its own pipe.
+A worker that dies costs only the case it was running, which is
+reported as an ERROR.  Fork needs POSIX.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -47,6 +58,8 @@ class SweepConfig:
             raise UsageError("r values must be integers")
         if type(self.jobs) is not int or self.jobs < 1:
             raise UsageError("jobs must be an integer >= 1")
+        if self.jobs > 1 and not hasattr(os, "fork"):
+            raise UsageError("jobs > 1 needs os.fork, which this platform lacks")
         if not (type(self.case_timeout) in (int, float)
                 and self.case_timeout >= 0):
             raise UsageError("case timeout must be a number >= 0 seconds")
@@ -131,14 +144,100 @@ def run_case(mm: int, rr: int, cc: int, var: str,
     return CaseResult(mm, rr, cc, var, False, deg, lead, ms)
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """concurrent.futures' process pool, imported when --jobs > 1 needs it."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
-
-
 def _case_worker(args) -> CaseResult:
     return run_case(*args)
+
+
+def _fork_map(fn, args: list, workers: int) -> list[CaseResult]:
+    """[fn(a) for a in args], computed by `workers` forked processes.
+
+    The case indices go into one task pipe as 4-byte records before the
+    first fork; each worker runs `_serve` on it and its own result pipe,
+    which the parent drains as data arrives.  A case whose worker died
+    has no result: it is reported as an error naming how the workers
+    that died ended.  If the parent raises, it kills every worker; no
+    worker outlives the call."""
+    import pickle
+    import selectors
+    import signal
+
+    tasks, feed = os.pipe()
+    # M_HARD_MAX allows 1215 cases, 4860 bytes: the pipe buffer holds them
+    with open(feed, "wb") as out:
+        out.write(b"".join(i.to_bytes(4, "little") for i in range(len(args))))
+    results: list = [None] * len(args)
+    readers: list[int] = []
+    pids: list[int] = []
+    codes: list[int] = []
+    drained = False
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            readers.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, args, tasks, w, readers)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        with selectors.DefaultSelector() as sel:
+            for r in readers:
+                sel.register(r, selectors.EVENT_READ, bytearray())
+            while sel.get_map():
+                for key, _ in sel.select():
+                    chunk = os.read(key.fd, 1 << 16)
+                    if not chunk:  # worker gone; drop a truncated frame
+                        sel.unregister(key.fd)
+                        continue
+                    buf = key.data
+                    buf += chunk
+                    while (len(buf) >= 8 and
+                           len(buf) >= 8 + (n := int.from_bytes(buf[:8], "little"))):
+                        i, res = pickle.loads(buf[8:8 + n])
+                        results[i] = res
+                        del buf[:8 + n]
+        drained = True
+    finally:
+        for fd in (tasks, *readers):
+            os.close(fd)
+        for pid in pids:
+            if not drained:
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    died = ", ".join(dict.fromkeys(
+        f"signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+        for code in codes if code))
+    for i, res in enumerate(results):
+        if res is None:
+            mm, rr, cc, var = args[i][:4]
+            results[i] = CaseResult(mm, rr, cc, var, False, None, None, 0.0,
+                                    error=f"WorkerDied: {died}")
+    return results
+
+
+def _serve(fn, args: list, tasks: int, out_fd: int, readers: list[int]):
+    """A forked worker: close the parent's result pipe ends, then until
+    the task pipe is empty read an index i, and write an 8-byte length
+    and the pickle of (i, fn(args[i])) to out_fd.  Never returns."""
+    import pickle
+
+    code = 1
+    try:
+        for fd in readers:
+            os.close(fd)
+        with open(out_fd, "wb") as out:
+            while rec := os.read(tasks, 4):
+                i = int.from_bytes(rec, "little")
+                frame = pickle.dumps((i, fn(args[i])))
+                out.write(len(frame).to_bytes(8, "little") + frame)
+                out.flush()
+        code = 0
+    except BaseException:
+        import traceback
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
@@ -152,9 +251,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         # instead of each clearing the entries and planning their
         # specialization again
         _cleared_core()
-        # a forked pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(cases))) as pool:
-            results = list(pool.map(_case_worker, args))
+        results = _fork_map(_case_worker, args, min(config.jobs, len(cases)))
     else:
         results = [_case_worker(a) for a in args]
     exceptions = [res.key() for res in results if res.zero]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,9 @@ from resverify import catalog, sweep
 from resverify.checks import run_check
 from resverify.cli import main
 from resverify.resultant import resultant_interp
-from resverify.sweep import (SweepConfig, UsageError, expected_exceptions,
-                             report_to_dict, run_case, run_sweep)
+from resverify.sweep import (SweepConfig, UsageError, _serve,
+                             expected_exceptions, report_to_dict, run_case,
+                             run_sweep)
 
 
 def _failing(a, b, var, spectator, deadline=None):
@@ -25,36 +27,47 @@ def _failing(a, b, var, spectator, deadline=None):
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """(pool size, case-build cache entries, names of the cached
-    specialization plans) at each pool start; the stand-in pool runs the
-    cases in this process."""
+    """(worker count, case-build cache entries, names of the cached
+    specialization plans) at each parallel map; the stand-in for
+    `sweep._fork_map` runs the cases in this process, so no count of
+    workers asked for starts a process."""
     starts = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            filled = catalog._cleared_core.cache_info().currsize
-            plans = catalog._cleared_core()[-1] if filled else ()
-            starts.append((max_workers, filled,
-                           [plan.names for plan in plans]))
+    def in_process_map(fn, args, workers):
+        filled = catalog._cleared_core.cache_info().currsize
+        plans = catalog._cleared_core()[-1] if filled else ()
+        starts.append((workers, filled, [plan.names for plan in plans]))
+        return [fn(a) for a in args]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(sweep, "_fork_map", in_process_map)
     return starts
 
 
 def _planting_worker(args):
-    # runs in this process or in a pool worker of any start method
+    # runs in this process or in a forked worker, which inherits the patch
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sweep, "resultant_interp", _failing)
         return run_case(*args)
+
+
+def _dying_worker(args):
+    if args[:3] == (4, 2, 0):
+        os._exit(1)
+    return run_case(*args)
+
+
+def _serve_leaving_half_a_frame(fn, args, tasks, out_fd, readers):
+    # the worker writes the start of a frame before it dies
+    def worker(a):
+        if a[:3] == (4, 2, 0):
+            os.write(out_fd, (64).to_bytes(8, "little") + b"\x80")
+        return fn(a)
+    _serve(worker, args, tasks, out_fd, readers)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSweep:
@@ -131,13 +144,38 @@ class TestSweep:
         assert report.exceptions == [(7, 4, 1)]
         assert report.exceptions == expected_exceptions(cfg)
 
-    def test_worker_count_invariance(self):
-        cfg1 = SweepConfig(var="k", m_lo=4, m_hi=5, c_list=(1,), jobs=1)
-        cfg2 = SweepConfig(var="k", m_lo=4, m_hi=5, c_list=(1,), jobs=2)
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_worker_count_invariance(self, jobs):
+        cfg1 = SweepConfig(var="k", m_lo=4, m_hi=6, c_list=(1,), jobs=1)
+        cfg2 = SweepConfig(var="k", m_lo=4, m_hi=6, c_list=(1,), jobs=jobs)
         d1 = report_to_dict(run_sweep(cfg1), stable=True)
         d2 = report_to_dict(run_sweep(cfg2), stable=True)
         d1["config"]["jobs"] = d2["config"]["jobs"]
         assert d1 == d2
+        assert len(d2["results"]) == 9
+
+    @pytest.mark.parametrize("raised", [None, KeyboardInterrupt,
+                                        pickle.UnpicklingError])
+    def test_no_worker_outlives_the_sweep(self, monkeypatch, raised):
+        # the parent kills and reaps every worker when its drain raises
+        cfg = SweepConfig(var="f", m_lo=4, m_hi=5, c_list=(1,), jobs=2)
+        if raised is None:
+            assert not run_sweep(cfg).failed
+        else:
+            def broken_loads(data):
+                raise raised("planted")
+            monkeypatch.setattr(pickle, "loads", broken_loads)
+            with pytest.raises(raised):
+                run_sweep(cfg)
+        _assert_no_child_left()
+
+    def test_jobs_without_fork_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(UsageError, match="fork"):
+            SweepConfig(jobs=2).validate()
+        SweepConfig(jobs=1).validate()
+        assert main(["sweep", "--var", "f", "--m", "4..4", "--jobs", "2"]) == 2
+        assert "fork" in capsys.readouterr().err
 
     def test_pool_capped_at_case_count(self, pool_starts):
         cfg = SweepConfig(var="k", m_lo=4, m_hi=4, c_list=(1,), jobs=100000)
@@ -154,15 +192,17 @@ class TestSweep:
             [(1, [("m", "r", "c")] * 3)]
 
     def test_import_loads_no_process_pool(self):
-        # only --jobs > 1 needs the pool: a fresh start through the
-        # package and the manifest loads neither it nor multiprocessing
+        # only --jobs > 1 forks workers: a fresh start through the
+        # package and the manifest loads no process pool, nor the pickle
+        # and selectors modules that the forked workers' pipes use
         src = str(Path(sweep.__file__).resolve().parents[1])
         code = ("import sys\n"
                 "import resverify\n"
                 "from resverify import catalog\n"
                 "catalog.manifest()\n"
                 "print(sorted(m for m in ('concurrent.futures.process',\n"
-                "                         'multiprocessing')\n"
+                "                         'multiprocessing', 'pickle',\n"
+                "                         'selectors')\n"
                 "             if m in sys.modules))\n")
         out = subprocess.run([sys.executable, "-c", code],
                              env=dict(os.environ, PYTHONPATH=src),
@@ -238,9 +278,8 @@ class TestCli:
     def test_failed_case_reported_and_exit_three(self, capsys, monkeypatch,
                                                  jobs):
         # one case raises: it is reported with its exception, the other
-        # two keep their verdicts, in both formats and with a pool.  The
-        # failure is planted by the case worker, which a pool pickles by
-        # reference, so it reaches forked and spawned workers alike
+        # two keep their verdicts, in both formats and with forked
+        # workers, which inherit the planted case worker
         monkeypatch.setattr(sweep, "_case_worker", _planting_worker)
         base = ["sweep", "--var", "k", "--m", "4..4", "--r", "2",
                 "--c=-1,0,1", "--jobs", jobs, "--stable-output"]
@@ -256,6 +295,25 @@ class TestCli:
                             "planted failure")
         assert lines[0].startswith("m=4 r=2 c=-1 var=k degree=107 ")
         assert lines[2].startswith("m=4 r=2 c=1 var=k degree=107 ")
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_dead_worker_costs_only_its_case(self, capsys, monkeypatch,
+                                             truncated):
+        # a worker that dies at (4, 2, 0) loses that case alone, and the
+        # part of a frame it wrote is dropped; the other worker runs the
+        # rest.  Only with --jobs 2: in this process the dying worker
+        # would end the test run
+        monkeypatch.setattr(sweep, "_case_worker", _dying_worker)
+        if truncated:
+            monkeypatch.setattr(sweep, "_serve", _serve_leaving_half_a_frame)
+        assert main(["sweep", "--var", "k", "--m", "4..4", "--r", "2",
+                     "--c=-1,0,1", "--jobs", "2", "--stable-output",
+                     "--format", "json"]) == 3
+        entries = json.loads(capsys.readouterr().out)["results"]
+        assert [(e["c"], e.get("error")) for e in entries] == [
+            (-1, None), (0, "WorkerDied: exit status 1"), (1, None)]
+        assert entries[0]["degree"] == entries[2]["degree"] == 107
+        _assert_no_child_left()
 
     def test_sweep_usage_error(self, capsys):
         code = main(["sweep", "--var", "k", "--m", "oops"])
