@@ -169,7 +169,9 @@ def _cleared_core() -> tuple[MultiPoly, int, MultiPoly, MultiPoly, int,
     so that each specialization (m, r, c) only applies them.  Filled by
     the first build_core, never at import or by manifest();
     `sweep.run_sweep` fills it before it forks its workers, so that every
-    worker inherits the plans."""
+    worker inherits the plans.  The truncated plans of a build mod
+    f^(n+1) are cut from these polynomials and cached beside them
+    (`_truncated_core`)."""
     man = manifest()
     hgen, d_h = man["Hgen"].cleared()
     num, d_num = man["NumDerF"].cleared()
@@ -179,6 +181,36 @@ def _cleared_core() -> tuple[MultiPoly, int, MultiPoly, MultiPoly, int,
                       MultiPoly(den) * (d_f // d_den))
     return (hgen, d_h, num, den, d_f,
             tuple(AtPlan(p, _PARAMS) for p in (hgen, num, den)))
+
+
+@lru_cache(maxsize=None)
+def _truncated_core(order: int) -> tuple[AtPlan, AtPlan, AtPlan]:
+    """The truncated plans: `AtPlan`s for m, r, c of the cleared Hgen,
+    NumDerF and DenDerF of `_cleared_core`, each cut once to the
+    f-degrees that H and K mod f^(order+1) read
+    (`CoreCatalog(params, f_order=order)`).  Filled on first use.
+
+    Let l_h and l_n be the lowest f-exponents of Hgen and NumDerF.  Then
+    Hgen_f has no term below f^max(l_h-1, 0) and Hgen_k none below
+    f^l_h, so in K = Hgen_f*NumDerF + Hgen_k*DenDerF a term of Hgen above
+    f^(order + max(1-l_n, 0)), of NumDerF above f^(order - max(l_h-1, 0))
+    or of DenDerF above f^(order - l_h) only meets products above
+    f^order.  The cleared core has l_h = l_n = 1: Hgen and NumDerF are
+    kept to f^order, DenDerF to f^(order-1); at order 2 that is
+    260 + 35 + 29 of the 669 + 49 + 54 terms."""
+    hgen, _, num, den, _, _ = _cleared_core()
+    low_h, low_n = (min(e for (e,), _ in p.exponents("f")) for p in (hgen, num))
+    cuts = ((hgen, order + max(1 - low_n, 0)),
+            (num, order - max(low_h - 1, 0)), (den, order - low_h))
+    return tuple(AtPlan(p.truncate("f", n), _PARAMS) for p, n in cuts)
+
+
+def cleared_fk_degrees() -> tuple[set[int], set[int]]:
+    """The (f, k)-degrees of the terms of the cleared Hgen, and those of
+    the cleared NumDerF and DenDerF together (`_cleared_core`)."""
+    hgen, _, num, den, _, _ = _cleared_core()
+    return tuple({i + j for p in ps for (i, j), _ in p.exponents("f", "k")}
+                 for ps in ((hgen,), (num, den)))
 
 
 class CoreCatalog:
@@ -194,9 +226,15 @@ class CoreCatalog:
     `MultiPoly.at` otherwise; K = H_f*NumDerF + H_k*DenDerF is formed
     by integer products, and each result is divided by its denominator
     once.
+
+    With f_order = n, for a full specialization (m, r, c) only, H and K
+    are built mod f^(n+1): the generic polynomials come from the
+    truncated plans (`_truncated_core(n)`), and the products are cut to
+    f^n.  The default, None, builds everything.
     """
 
-    def __init__(self, params: tuple[int, int, int | None] | None = None):
+    def __init__(self, params: tuple[int, int, int | None] | None = None,
+                 f_order: int | None = None):
         self._values = {}
         scale = 1
         if params is not None:
@@ -211,11 +249,19 @@ class CoreCatalog:
                 self._values["c"] = c0
             scale = m0 - r0
         hgen, d_h, num, den, d_f, plans = _cleared_core()
-        if tuple(self._values) == _PARAMS:
+        full = tuple(self._values) == _PARAMS
+        if f_order is not None:
+            if not full or type(f_order) is not int or f_order < 0:
+                raise ValueError(f"f_order {f_order!r} needs an int >= 0 and "
+                                 f"a full specialization (m, r, c)")
+            hgen, num, den = _truncated_core(f_order)
+        elif full:
             hgen, num, den = plans
         h = hgen.at(self._values)
         k = (h.derivative("f") * num.at(self._values)
              + h.derivative("k") * den.at(self._values))
+        if f_order is not None:
+            h, k = h.truncate("f", f_order), k.truncate("f", f_order)
         self.H = h.exact_div(MultiPoly.const(d_h * scale))
         self.K = k.exact_div(MultiPoly.const(d_h * scale * d_f))
 
@@ -233,10 +279,12 @@ class CoreCatalog:
         return reduce_to_z(self.K, 4)
 
 
-def build_core(params: tuple[int, int, int | None] | None = None) -> CoreCatalog:
+def build_core(params: tuple[int, int, int | None] | None = None,
+               f_order: int | None = None) -> CoreCatalog:
     """Generic catalog (params None) or exact specialization (m, r, c);
-    c None leaves c symbolic."""
-    return CoreCatalog(params)
+    c None leaves c symbolic.  f_order = n builds H and K mod f^(n+1)
+    (`CoreCatalog`)."""
+    return CoreCatalog(params, f_order)
 
 
 def fp_square_to_s(p: MultiPoly) -> MultiPoly:

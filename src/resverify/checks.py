@@ -12,8 +12,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import poly
-from .catalog import (build_core, closed_form_tables, dominant_coef_value,
-                      fp_square_to_s, manifest, res_special_value)
+from .catalog import (build_core, cleared_fk_degrees, closed_form_tables,
+                      dominant_coef_value, fp_square_to_s, manifest,
+                      res_special_value)
 from .parser import format_poly
 from .parser import parse  # noqa: F401  (perfbench/spans.py traces checks.parse)
 from .poly import InexactDivision, MultiPoly, horner, pseudo_division
@@ -482,11 +483,14 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     So each pair is eliminated in u = f^2: the raw degree is
     2 * deg_z Res_u, and the primitive part of Res_f is prim(Res_u)^2
     (Gauss's lemma), a perfect square by the evenness in f of both
-    inputs.  The evenness is structural:
-    H has the total degrees {3, 5, 7, 9} in (f, k) and K has
-    {4, 6, ..., 12}, so the f-exponents i + j - 3 and i + j - 4 that
-    `reduce_to_z` gives to k^i f^j are even.  A pair with an odd
-    f-exponent fails the perfect-square line at once.
+    inputs.  The evenness is structural.  Generic fact, checked once
+    per run (`catalog.cleared_fk_degrees`): the cleared Hgen has the
+    (f, k)-degrees {3, 5, 7, 9}, and NumDerF and DenDerF have {2, 4}.
+    So at every sample H has odd (f, k)-degrees up to 9 and
+    K = H_f*NumDerF + H_k*DenDerF even ones from 4 to 12: the
+    f-exponents i + j - 3 and i + j - 4 that `reduce_to_z` gives to
+    k^i f^j are even, and the halves have u-degrees at most 3 and 4.
+    A pair with an odd f-exponent fails the perfect-square line at once.
 
     Degree.  `resultant_top` at weight 2 reads the top of Res_u.  A term
     k^q f^j of H becomes u^((q+j-3)/2) z^q, and q - (q+j-3) = 3 - j is
@@ -495,6 +499,20 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     f-exponent minus 1.  The line "raw degree 80" (78 on m = 2r-1)
     holds when every coefficient of Res_u above z^40 (z^39) vanishes and
     that one does not; it is then lc_z Res_u, content included.
+
+    Truncation.  So the determinant over Z[t]/(t^count), count = 2
+    (3 on m = 2r-1), reads only the terms of H and K of f-degree at
+    most count, and it is the same for H, K and for H, K mod
+    f^(count+1) as long as both pairs have the formal degrees (3, 4)
+    and the alphas (2, 3): a ring map that fixes every entry it reads.
+    A cut pair may have other contents, but `resultant_top` scales them
+    back out as `resultant` does.  Each sample builds the pair mod
+    f^(count+1) (`build_core(..., f_order=count)`) and takes it when the
+    generic fact holds and its halves are even, of u-degrees 3 and 4
+    (the ceilings, so the full halves have them too) and of alphas 2
+    and 3 (the cut keeps the lowest f-exponents, so the full halves have
+    them too).  The evenness of the full halves then follows from the
+    generic fact.  Any other sample takes the full build.
 
     Cofactor.  Res_u(A, B) is the Sylvester determinant of the u-degrees
     da = 3 (H) and db = 4 (K): db rows of coefficients of A and da rows
@@ -520,15 +538,21 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     if len(samples) < 40:
         run.expect("at least 40 samples", False)
         return run.outcome()
+    h_degrees, d_degrees = cleared_fk_degrees()
+    generic = h_degrees <= {3, 5, 7, 9} and d_degrees <= {2, 4}
     for mm, rr, cc in samples:
         tag = f"({mm},{rr},{cc})"
-        core = build_core((mm, rr, cc))
-        halves = [p.halve_exponents("f") for p in (core.new_h, core.new_k)]
-        even = None not in halves
         special = mm == 2 * rr - 1
         want_deg = 78 if special else 80
+        low = want_deg // 2
+        count = 41 - low + 1  # coefficients read at top = 41
+        params = (mm, rr, cc)
+        halves = (_halves(build_core(params, f_order=count)) if generic
+                  else [])
+        if not _structural(halves):
+            halves = _halves(build_core(params))
+        even = None not in halves
         if even:
-            low = want_deg // 2
             top, coeffs = resultant_top(*halves, "f", "z", 2, low)
             ok = any(coeffs[-1:]) and not any(coeffs[:-1])
             nonzero = [top - e for e, co in enumerate(coeffs) if co]
@@ -544,6 +568,20 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
         run.expect(f"{tag} 3^10*m^3*closed == -2^38*(m-r)^7*lc_z Res_u", ok,
                    None if ok else f"lead={lead} closed={closed}")
     return run.outcome()
+
+
+def _halves(core) -> list:
+    """The f-halved new_h and new_k of a core (None where odd)."""
+    return [p.halve_exponents("f") for p in (core.new_h, core.new_k)]
+
+
+def _structural(halves: list) -> bool:
+    """The halves are even, of u-degrees 3 and 4, and of alpha 2 and 3
+    at weight 2 (`check_appendix_c_leading`)."""
+    return (None not in halves
+            and [p.degree("f") for p in halves] == [3, 4]
+            and [max(q - 2 * i for (i, q), _ in p.exponents("f", "z"))
+                 for p in halves] == [2, 3])
 
 
 CHECKS = {

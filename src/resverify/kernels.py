@@ -8,9 +8,11 @@ plain lists: `resultant_int` two ascending univariate coefficient lists
 (the samples of `resultant.resultant_interp`, and the one value of
 `resultant.resultant_at`), `bareiss_det_int` a
 square matrix.  They run on `int` alone, and every division in them is
-exact.  `bareiss_det_int` has no library caller: it stays as the tests'
-determinant oracle and as a benchmark trace target until the benchmark
-traces `resultant_int` instead.  Callers look these functions up as
+exact.  `resultant_int` takes each normal step of its subresultant PRS
+(degree gap 1) in one pass and one divmod pass.  `bareiss_det_int` has
+no library caller: it stays as the tests' determinant oracle and as a
+benchmark trace target until the benchmark traces `resultant_int`
+instead.  Callers look these functions up as
 attributes of this module (kernels.mul_dicts), so a wrapper set on the
 module sees every call.
 """
@@ -116,8 +118,13 @@ def resultant_int(f: list, g: list) -> int:
     each remainder is the pseudo-remainder of the last two divided by
     lead*h^delta (lead the previous divisor's leading coefficient, h the
     subresultant scale, delta the degree gap), each division exact (an
-    ArithmeticError otherwise).  A zero remainder before degree 0 means
-    a common factor, and the result is 0."""
+    ArithmeticError otherwise), in one divmod pass.  The normal step,
+    delta = 1 (every step after the first on the sweep pairs), forms the
+    descending pseudo-remainder of a by b, lc = b_0, in one pass:
+    lc^2*a_(i+2) - lc*a_0*b_(i+2) - q1*b_(i+1), q1 = lc*a_1 - a_0*b_1,
+    b_(db+1) = 0; a larger gap eliminates one leading term at a time.
+    A zero remainder before degree 0 means a common factor, and the
+    result is 0."""
     m, n = len(f) - 1, len(g) - 1
     scale = 1
     while True:
@@ -148,18 +155,27 @@ def resultant_int(f: list, g: list) -> int:
         delta = da - db
         if da & db & 1:
             scale = -scale
-        # pseudo-remainder lc(b)^(delta+1)*a mod b, in place on r
+        # pseudo-remainder lc(b)^(delta+1)*a mod b, divided by den
         lc = b[0]
-        r = list(a)
-        for i in range(delta + 1):
-            q = r[i]
-            r[i + 1:i + 1 + db] = [lc * x - q * y
-                                   for x, y in zip(r[i + 1:i + 1 + db], b[1:])]
-            r[i + 1 + db:] = [lc * x for x in r[i + 1 + db:]]
-        r = r[delta + 1:]
-        top = next((i for i, x in enumerate(r) if x), len(r))
         den = lead * h ** delta
-        a, b = b, [_exact(x, den) for x in r[top:]]
+        if delta == 1:  # the normal step, in one pass
+            q1 = lc * a[1] - a[0] * b[1]
+            lc2, lq0 = lc * lc, lc * a[0]
+            parts = [divmod(lc2 * x - lq0 * y - q1 * w, den)
+                     for x, y, w in zip(a[2:], b[2:] + [0], b[1:])]
+        else:
+            r = list(a)
+            for i in range(delta + 1):
+                q = r[i]
+                r[i + 1:i + 1 + db] = [lc * x - q * y for x, y
+                                       in zip(r[i + 1:i + 1 + db], b[1:])]
+                r[i + 1 + db:] = [lc * x for x in r[i + 1 + db:]]
+            parts = [divmod(x, den) for x in r[delta + 1:]]
+        if any(rest for _, rest in parts):
+            raise ArithmeticError(f"a remainder is not a multiple of {den}")
+        r = [quot for quot, _ in parts]
+        top = next((i for i, x in enumerate(r) if x), len(r))
+        a, b = b, r[top:]
         lead = a[0]
         if delta:
             h = _exact(lead ** delta, h ** (delta - 1))

@@ -290,6 +290,13 @@ class MultiPoly:
                 out[key - strip] = coeff
         return MultiPoly._raw(out)
 
+    def truncate(self, name: str, n: int) -> "MultiPoly":
+        """self mod name^(n+1): the terms of degree at most n in name
+        (none for n < 0)."""
+        sh = _SHIFTS[_check_var(name)]
+        return MultiPoly._raw({key: coeff for key, coeff in self._d.items()
+                               if (key >> sh) & _FIELD_MASK <= n})
+
     def coefficients_in(self, name: str) -> list["MultiPoly"]:
         """Dense coefficient list [c_0, ..., c_deg] with the variable removed."""
         i = _check_var(name)

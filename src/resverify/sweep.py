@@ -10,9 +10,10 @@ cache that the parent fills first (`catalog._cleared_core`), and the
 cases themselves, so nothing is sent per case but its index.  Before
 forking, the parent writes every case index into one pipe and closes
 it; each worker reads the next index when it is free, so a faster
-worker takes more cases, and writes each result back on its own pipe.
-A worker that dies costs only the case it was running, which is
-reported as an ERROR.  Fork needs POSIX.
+worker takes more cases, names the index on its own pipe and then
+writes the result back there.  A worker that dies costs only the case
+it was running, which is reported as an ERROR with that worker's exit
+status.  Fork needs POSIX.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ class UsageError(ValueError):
 
 
 M_HARD_MAX = 30
+
+# a frame header with this bit set names the case a worker takes next;
+# any other header is the length of a pickled (index, result)
+_TAKING = 1 << 63
 
 
 @dataclass
@@ -154,9 +159,10 @@ def _fork_map(fn, args: list, workers: int) -> list[CaseResult]:
     The case indices go into one task pipe as 4-byte records before the
     first fork; each worker runs `_serve` on it and its own result pipe,
     which the parent drains as data arrives.  A case whose worker died
-    has no result: it is reported as an error naming how the workers
-    that died ended.  If the parent raises, it kills every worker; no
-    worker outlives the call."""
+    has no result: it is reported as an error naming how the worker that
+    took it ended, or how every worker ended for a case that none took.
+    If the parent raises, it kills every worker; no worker outlives the
+    call."""
     import pickle
     import selectors
     import signal
@@ -166,6 +172,7 @@ def _fork_map(fn, args: list, workers: int) -> list[CaseResult]:
     with open(feed, "wb") as out:
         out.write(b"".join(i.to_bytes(4, "little") for i in range(len(args))))
     results: list = [None] * len(args)
+    taken: dict[int, int] = {}  # case index -> the worker that took it
     readers: list[int] = []
     pids: list[int] = []
     codes: list[int] = []
@@ -182,20 +189,26 @@ def _fork_map(fn, args: list, workers: int) -> list[CaseResult]:
                 os.close(w)
             pids.append(pid)
         with selectors.DefaultSelector() as sel:
-            for r in readers:
-                sel.register(r, selectors.EVENT_READ, bytearray())
+            for w, r in enumerate(readers):
+                sel.register(r, selectors.EVENT_READ, (w, bytearray()))
             while sel.get_map():
                 for key, _ in sel.select():
                     chunk = os.read(key.fd, 1 << 16)
                     if not chunk:  # worker gone; drop a truncated frame
                         sel.unregister(key.fd)
                         continue
-                    buf = key.data
+                    w, buf = key.data
                     buf += chunk
-                    while (len(buf) >= 8 and
-                           len(buf) >= 8 + (n := int.from_bytes(buf[:8], "little"))):
-                        i, res = pickle.loads(buf[8:8 + n])
-                        results[i] = res
+                    while len(buf) >= 8:
+                        n = int.from_bytes(buf[:8], "little")
+                        if n & _TAKING:
+                            taken[n ^ _TAKING] = w
+                            n = 0
+                        elif len(buf) < 8 + n:
+                            break
+                        else:
+                            i, res = pickle.loads(buf[8:8 + n])
+                            results[i] = res
                         del buf[:8 + n]
         drained = True
     finally:
@@ -205,21 +218,23 @@ def _fork_map(fn, args: list, workers: int) -> list[CaseResult]:
             if not drained:
                 os.kill(pid, signal.SIGKILL)
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    died = ", ".join(dict.fromkeys(
-        f"signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
-        for code in codes if code))
+    ends = [f"signal {signal.Signals(-code).name}" if code < 0
+            else f"exit status {code}" for code in codes]
+    died = ", ".join(dict.fromkeys(end for end, code in zip(ends, codes) if code))
     for i, res in enumerate(results):
         if res is None:
             mm, rr, cc, var = args[i][:4]
+            end = ends[taken[i]] if i in taken else died
             results[i] = CaseResult(mm, rr, cc, var, False, None, None, 0.0,
-                                    error=f"WorkerDied: {died}")
+                                    error=f"WorkerDied: {end}")
     return results
 
 
 def _serve(fn, args: list, tasks: int, out_fd: int, readers: list[int]):
     """A forked worker: close the parent's result pipe ends, then until
-    the task pipe is empty read an index i, and write an 8-byte length
-    and the pickle of (i, fn(args[i])) to out_fd.  Never returns."""
+    the task pipe is empty read an index i, write the header
+    _TAKING | i to out_fd before running the case, and then an 8-byte
+    length and the pickle of (i, fn(args[i])).  Never returns."""
     import pickle
 
     code = 1
@@ -229,6 +244,8 @@ def _serve(fn, args: list, tasks: int, out_fd: int, readers: list[int]):
         with open(out_fd, "wb") as out:
             while rec := os.read(tasks, 4):
                 i = int.from_bytes(rec, "little")
+                out.write((_TAKING | i).to_bytes(8, "little"))
+                out.flush()
                 frame = pickle.dumps((i, fn(args[i])))
                 out.write(len(frame).to_bytes(8, "little") + frame)
                 out.flush()

@@ -15,13 +15,15 @@ from conftest import (ref_add, ref_diff, ref_eval, ref_from_multipoly, ref_mul,
                       ref_scale, ref_subst)
 
 import resverify
-from resverify import kernels
+from resverify import catalog, kernels
 from resverify.catalog import (DegreeTooLow, InvalidParameters, build_core,
                                dominant_coef_value, manifest, reduce_to_z,
                                res_special_value)
+from resverify.checks import APPC_DEFAULT_SAMPLES
 from resverify.parser import parse
 from resverify.poly import VAR_INDEX, MultiPoly, variables
 from resverify.ratio import Rat
+from resverify.resultant import resultant_top
 
 V = variables()
 F, K, Z, M, R, C = V["f"], V["k"], V["z"], V["m"], V["r"], V["c"]
@@ -228,11 +230,57 @@ class TestIntegerBuild:
         code = ("import resverify\n"
                 "from resverify import catalog\n"
                 "catalog.manifest()\n"
-                "print(catalog._cleared_core.cache_info().currsize)\n")
+                "print(catalog._cleared_core.cache_info().currsize,\n"
+                "      catalog._truncated_core.cache_info().currsize)\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "0"
+        assert out.stdout.strip() == "0 0"
+
+
+# the default samples of appendix-c-leading and four larger ones
+_CUT_SAMPLES = list(APPC_DEFAULT_SAMPLES) + [(50, 20, 1), (100, 30, -1),
+                                             (150, 43, 1), (144, 43, -1)]
+
+
+class TestTruncatedBuild:
+    """build_core(params, f_order=n), the build mod f^(n+1) that
+    appendix-c-leading asks for, against the full build."""
+
+    @pytest.mark.parametrize("params", _CUT_SAMPLES[-4:])
+    def test_every_order_is_the_full_pair_cut(self, params):
+        full = build_core(params)
+        for n in range(5):
+            cut = build_core(params, f_order=n)
+            assert cut.H == full.H.truncate("f", n)
+            assert cut.K == full.K.truncate("f", n)
+
+    def test_top_coefficients_match_the_full_pair(self):
+        # at count = n, resultant_top of the cut halves equals that of the
+        # full halves coefficient for coefficient
+        for params in _CUT_SAMPLES:
+            mm, rr, _ = params
+            n = 3 if mm == 2 * rr - 1 else 2
+            full, cut = build_core(params), build_core(params, f_order=n)
+            assert cut.H == full.H.truncate("f", n)
+            assert cut.K == full.K.truncate("f", n)
+            tops = [resultant_top(*[p.halve_exponents("f")
+                                    for p in (core.new_h, core.new_k)],
+                                  "f", "z", 2, 42 - n)
+                    for core in (full, cut)]
+            assert tops[0] == tops[1], params
+            assert tops[0][0] == 41 and len(tops[0][1]) == n, params
+
+    def test_truncated_plans_are_smaller(self):
+        plans = catalog._truncated_core(2)
+        assert [len(plan._plan[3]) for plan in plans] == [260, 35, 29]
+
+    @pytest.mark.parametrize("params, n", [
+        (None, 2), ((7, 4, None), 2), ((7, 4, 1), -1), ((7, 4, 1), 2.0),
+        ((7, 4, 1), True)])
+    def test_order_needs_full_specialization_and_int(self, params, n):
+        with pytest.raises(ValueError):
+            build_core(params, f_order=n)
 
 
 class TestFpRewrite:

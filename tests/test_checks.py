@@ -460,8 +460,8 @@ def test_appendix_c_leading_fails_on_odd_f_exponent(monkeypatch):
     # is not proven and the sample fails before any elimination
     build_core = checks.build_core
 
-    def planted(params):
-        core = build_core(params)
+    def planted(params, f_order=None):
+        core = build_core(params, f_order=f_order)
         return SimpleNamespace(new_h=core.new_h + MultiPoly.var("f"),
                                new_k=core.new_k)
 
@@ -478,8 +478,8 @@ def test_appendix_c_leading_fails_on_raised_top(monkeypatch):
     # the bound rises to 45 and z^44..z^41 no longer vanish
     build_core = checks.build_core
 
-    def planted(params):
-        core = build_core(params)
+    def planted(params, f_order=None):
+        core = build_core(params, f_order=f_order)
         return SimpleNamespace(new_h=core.new_h * (1 + MultiPoly.var("z")),
                                new_k=core.new_k)
 
@@ -502,23 +502,106 @@ def test_appendix_c_leading_builds_no_full_resultant(monkeypatch):
     assert out.passed, out.witness
 
 
-def test_appendix_c_leading_builds_each_plan_once(monkeypatch):
+def test_appendix_c_leading_builds_each_plan_once(monkeypatch,
+                                                 fresh_truncated_core):
     # the 46 default samples specialize Hgen, NumDerF and DenDerF from
-    # the plans cached with the cleared core, built once for (m, r, c);
-    # a one-shot MultiPoly.at per sample would build a plan each time
+    # plans cached with the cleared core, built once for (m, r, c): the
+    # three full plans of _cleared_core and the three truncated plans of
+    # each f_order, 2 and 3 (m = 2r-1); a one-shot MultiPoly.at per
+    # sample would build a plan each time
     built = []
     plan = poly.subst_plan
 
     def spy(d, names):
-        built.append((id(d), tuple(names)))
+        built.append((d, tuple(names)))  # kept alive, so ids stay distinct
         return plan(d, names)
 
     monkeypatch.setattr(poly, "subst_plan", spy)
     catalog._cleared_core.cache_clear()
     out = check_appendix_c_leading()
     assert out.passed, out.witness
-    assert len(built) == len(set(built)) == 3
+    assert len(built) == len({id(d) for d, _ in built}) == 3 * 3
     assert {names for _, names in built} == {("m", "r", "c")}
+
+
+@pytest.fixture
+def fresh_truncated_core():
+    """No truncated plans from before the test, nor from a core it
+    planted."""
+    catalog._truncated_core.cache_clear()
+    yield
+    catalog._truncated_core.cache_clear()
+
+
+def test_appendix_c_leading_truncated_pair_without_f1_falls_back(monkeypatch):
+    # at (6, 4, -1) the truncated pair loses its f^1 terms, so alpha
+    # drops and the cut no longer proves the top: that sample takes the
+    # full build, and every line stays as it was
+    build_core = checks.build_core
+    orders = []
+
+    def planted(params, f_order=None):
+        core = build_core(params, f_order=f_order)
+        if params == (6, 4, -1):
+            orders.append(f_order)
+            if f_order is not None:
+                h = core.H - core.H.truncate("f", 1) + core.H.truncate("f", 0)
+                return SimpleNamespace(new_h=catalog.reduce_to_z(h, 3),
+                                       new_k=core.new_k)
+        return core
+
+    samples = [(4, 2, 1), (4, 3, -1), (5, 3, 1), (6, 4, -1)] * 10
+    want = check_appendix_c_leading(samples=samples)
+    monkeypatch.setattr(checks, "build_core", planted)
+    out = check_appendix_c_leading(samples=samples)
+    assert orders == [2, None] * 10
+    assert (out.passed, out.witness, out.detail) == \
+        (want.passed, want.witness, want.detail)
+    assert out.passed, out.witness
+
+
+def test_appendix_c_leading_fails_on_even_generic_degree(monkeypatch,
+                                                        fresh_truncated_core):
+    # a planted f^4*k^2 in the cleared Hgen: (f, k)-degree 6, above the
+    # cut of every sample, so the truncated halves stay even; the
+    # generic fact fails, and the full build shows the odd f-exponent
+    hgen, d_h, num, den, d_f, _ = catalog._cleared_core()
+    hgen = hgen + MultiPoly({(4, 2): 1})
+    core = (hgen, d_h, num, den, d_f,
+            tuple(poly.AtPlan(p, ("m", "r", "c")) for p in (hgen, num, den)))
+    monkeypatch.setattr(catalog, "_cleared_core", lambda: core)
+    samples = [(4, 2, 1), (4, 3, -1), (5, 3, 1), (6, 4, -1)] * 10
+    for sample in set(samples):
+        count = 3 if sample[0] == 2 * sample[1] - 1 else 2
+        cut = catalog.build_core(sample, f_order=count)
+        assert None not in checks._halves(cut)
+    out = check_appendix_c_leading(samples=samples)
+    assert not out.passed
+    squares = {label: verdict for label, verdict in out.detail.items()
+               if label.endswith("perfect square")}
+    assert len(squares) == 4
+    assert set(squares.values()) == {"FAIL"}
+    assert out.witness == "(4,2,1) primitive part is a perfect square"
+
+
+def test_appendix_c_leading_specializes_the_cut_terms(monkeypatch):
+    # work guard, no timer: the generic terms AtPlan.at specializes in a
+    # default run are at most 60% of what full builds would take
+    # (260 + 35 + 29 of 669 + 49 + 54 terms at count 2)
+    full = sum(len(plan._plan[3]) for plan in catalog._cleared_core()[-1])
+    at = poly.AtPlan.at
+    terms = []
+
+    def counting(plan, values):
+        terms.append(len(plan._plan[3]))
+        return at(plan, values)
+
+    monkeypatch.setattr(poly.AtPlan, "at", counting)
+    out = run_check("appendix-c-leading")
+    assert out.passed, out.witness
+    samples = len(checks.APPC_DEFAULT_SAMPLES)
+    assert full == 772 and len(terms) == 3 * samples
+    assert sum(terms) <= 0.6 * full * samples
 
 
 def test_appendix_c_cofactor_contents():

@@ -56,6 +56,12 @@ def _dying_worker(args):
     return run_case(*args)
 
 
+def _dying_twice_worker(args):
+    if args[:3] in ((4, 2, -1), (4, 2, 1)):
+        os._exit(1 if args[2] < 0 else 2)
+    return run_case(*args)
+
+
 def _serve_leaving_half_a_frame(fn, args, tasks, out_fd, readers):
     # the worker writes the start of a frame before it dies
     def worker(a):
@@ -313,6 +319,22 @@ class TestCli:
         assert [(e["c"], e.get("error")) for e in entries] == [
             (-1, None), (0, "WorkerDied: exit status 1"), (1, None)]
         assert entries[0]["degree"] == entries[2]["degree"] == 107
+        _assert_no_child_left()
+
+    def test_each_lost_case_names_its_own_worker(self, capsys, monkeypatch):
+        # both workers die, one at (4, 2, -1) with status 1 and one at
+        # (4, 2, 1) with status 2; (4, 2, 0) runs in whichever lives
+        # longer, and each lost case reads the status of the worker that
+        # took it, not those of both
+        monkeypatch.setattr(sweep, "_case_worker", _dying_twice_worker)
+        assert main(["sweep", "--var", "k", "--m", "4..4", "--r", "2",
+                     "--c=-1,0,1", "--jobs", "2", "--stable-output",
+                     "--format", "json"]) == 3
+        entries = json.loads(capsys.readouterr().out)["results"]
+        assert [(e["c"], e.get("error")) for e in entries] == [
+            (-1, "WorkerDied: exit status 1"), (0, None),
+            (1, "WorkerDied: exit status 2")]
+        assert entries[1]["degree"] == 107
         _assert_no_child_left()
 
     def test_sweep_usage_error(self, capsys):

@@ -14,7 +14,8 @@ import resverify
 from resverify import kernels, ratio
 from resverify.kernels import ExponentOverflow
 from resverify.poly import GUARD_MASK, MAX_EXPONENT, MultiPoly
-from resverify.resultant import _sylvester_rows
+from resverify.catalog import build_core
+from resverify.resultant import _sylvester_rows, resultant_interp
 
 
 def test_backend_reported():
@@ -157,6 +158,43 @@ def test_resultant_int_is_the_sylvester_determinant(rng):
             # a float or a Fraction here would fail the type check
             assert type(got) is int, (a, b)
             assert got == _sylvester_det(a, b), (a, b)
+
+
+def test_resultant_int_big_pairs_match_bareiss(rng):
+    # degrees 1..12, coefficients up to 2^80: random pairs run chains of
+    # normal steps (degree gap 1), some after a first gap of 2 or more,
+    # and some have a vanishing formal leading coefficient
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(1, 12)
+        m = rng.randint(n, 12) if rng.random() < 0.5 else min(n + 1, 12)
+        f, g = ([rng.randint(-2 ** 80, 2 ** 80) for _ in range(d + 1)]
+                for d in (m, n))
+        if rng.random() < 0.15:
+            rng.choice((f, g))[-1] = 0
+        seen.add("gap" if m - n >= 2 else "normal")
+        if not (f[-1] and g[-1]):
+            seen.add("vanishing lead")
+        for a, b in ((f, g), (g, f)):
+            assert kernels.resultant_int(a, b) == _sylvester_det(a, b), (a, b)
+    assert seen == {"gap", "normal", "vanishing lead"}
+
+
+def test_resultant_int_sweep_samples_match_bareiss(monkeypatch):
+    # the 43 integer resultants of the sweep case (15, 8, 1) in k
+    pairs = []
+    resultant_int = kernels.resultant_int
+
+    def record(f, g):
+        pairs.append((f, g))
+        return resultant_int(f, g)
+
+    monkeypatch.setattr(kernels, "resultant_int", record)
+    core = build_core((15, 8, 1))
+    resultant_interp(core.H, core.K, "k", "f")
+    assert len(pairs) == 43
+    for f, g in pairs:
+        assert resultant_int(f, g) == _sylvester_det(f, g)
 
 
 def test_resultant_int_formal_degree_drops():
