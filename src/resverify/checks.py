@@ -500,11 +500,12 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     holds when every coefficient of Res_u above z^40 (z^39) vanishes and
     that one does not; it is then lc_z Res_u, content included.
 
-    Truncation.  So the determinant over Z[t]/(t^count), count = 2
-    (3 on m = 2r-1), reads only the terms of H and K of f-degree at
-    most count, and it is the same for H, K and for H, K mod
+    Truncation.  So `resultant_top`, which cuts the columns below
+    t^count, count = 2 (3 on m = 2r-1), before it packs them into one
+    integer resultant, reads only the terms of H and K of f-degree at
+    most count, and it reads the same for H, K and for H, K mod
     f^(count+1) as long as both pairs have the formal degrees (3, 4)
-    and the alphas (2, 3): a ring map that fixes every entry it reads.
+    and the alphas (2, 3): the cut columns are then equal.
     A cut pair may have other contents, but `resultant_top` scales them
     back out as `resultant` does.  Each sample builds the pair mod
     f^(count+1) (`build_core(..., f_order=count)`) and takes it when the

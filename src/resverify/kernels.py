@@ -5,8 +5,9 @@ exponent keys (int) to rational/integer coefficients; key addition is
 monomial multiplication.  A set guard bit in a key sum means a
 per-variable exponent overflowed its field.  The integer kernels take
 plain lists: `resultant_int` two ascending univariate coefficient lists
-(the samples of `resultant.resultant_interp`, and the one value of
-`resultant.resultant_at`), `bareiss_det_int` a
+(the samples of `resultant.resultant_interp`, the one value of
+`resultant.resultant_at`, and the one packed determinant of
+`resultant.resultant_top`), `bareiss_det_int` a
 square matrix.  They run on `int` alone, and every division in them is
 exact.  `resultant_int` takes each normal step of its subresultant PRS
 (degree gap 1) in one pass and one divmod pass.  `bareiss_det_int` has

@@ -13,16 +13,16 @@ new entry exactly by the previous pivot: 9 against 10 products at
 n = 3, 28 against 28 at n = 4, 75 against 60 at n = 5.  So expansion
 never does more work up to n = 4, and Bareiss takes every larger
 matrix, where expansion grows as 2^n.  `res-pq` (P and Q, cubics in k)
-is n = 3.  `resultant_at` takes its value at an
-integer point of the other variables by one integer resultant
-(`kernels.resultant_int`); `resultant_interp` samples the
-dehomogenised inputs at the nodes +-1, +-2, ... over an exponent range
-read off the Newton polygons of the columns, and takes each sample
-by the subresultant PRS (`kernels.resultant_int`), which computes it
-for the formal degrees; `resultant_top` reads a bivariate resultant's
-top coefficients off one Bezout determinant over Z[t]/(t^n), expanded
-in minors;
-`sylvester` builds the Sylvester matrix itself.
+is n = 3.  The other routes take integer resultants by the
+subresultant PRS (`kernels.resultant_int`), which computes the
+Sylvester determinant of the formal degrees.  `resultant_at` takes
+one, at an integer point of the other variables; `resultant_interp`
+takes one per sample of the dehomogenised inputs at the nodes
++-1, +-2, ..., over an exponent range read off the Newton polygons of
+the columns; `resultant_top` takes one of the columns cut mod t^count
+and packed at t = 2^bits, and reads a bivariate resultant's top
+coefficients off its digits.  `sylvester` builds the Sylvester matrix
+itself.
 Formal degree 0 takes the same routes: a diagonal or empty Bezout
 matrix, and f_0^n or g_0^m from the PRS.
 Rational content of the inputs is cleared before the determinant and
@@ -131,13 +131,9 @@ def sylvester(a: MultiPoly, b: MultiPoly, var: str) -> list[list[MultiPoly]]:
 _MINOR_DET_MAX = 4
 
 
-_ZERO, _ONE = MultiPoly.zero(), MultiPoly.const(1)
-
-
-def _minor_det(rows: list[list], zero=_ZERO, one=_ONE):
-    """Exact determinant of a square matrix by expansion in minors,
-    division-free, so over any commutative ring whose zero and one are
-    given (MultiPoly by default; `resultant_top` passes Z[t]/(t^n)).
+def _minor_det(rows: list[list[MultiPoly]]) -> MultiPoly:
+    """Exact determinant of a square MultiPoly matrix by expansion in
+    minors, division-free.
 
     The minors of the leading j columns are kept in a dict keyed by
     their row set (a bitmask); the minor on rows S + {i} and columns
@@ -150,10 +146,10 @@ def _minor_det(rows: list[list], zero=_ZERO, one=_ONE):
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
     if n == 0:
-        return one
+        return MultiPoly.const(1)
     minors = {1 << i: row[0] for i, row in enumerate(rows) if row[0]}
     for j in range(1, n):
-        wider: dict[int, object] = {}
+        wider: dict[int, MultiPoly] = {}
         for mask, minor in minors.items():
             for i in range(n):
                 bit = 1 << i
@@ -166,7 +162,7 @@ def _minor_det(rows: list[list], zero=_ZERO, one=_ONE):
                 key = mask | bit
                 wider[key] = wider[key] + term if key in wider else term
         minors = {mask: minor for mask, minor in wider.items() if minor}
-    return minors.get((1 << n) - 1, zero)
+    return minors.get((1 << n) - 1, MultiPoly.zero())
 
 
 def bareiss_det(rows: list[list[MultiPoly]]) -> MultiPoly:
@@ -220,32 +216,21 @@ def _primitive_pair(a: MultiPoly, b: MultiPoly, var: str):
     return da, db, prim_a, prim_b, cont_a ** db * cont_b ** da
 
 
-def _bezout_det(f: list, g: list, zero=_ZERO, one=_ONE) -> tuple[int, object]:
-    """(sign, det): sign * det is the Sylvester determinant of the
-    ascending coefficient lists f, g at their formal degrees, from the
-    Bezout rows over the entries' ring (zero and one given, MultiPoly by
-    default): by minors up to _MINOR_DET_MAX rows, by Bareiss above.
-    Bareiss divides exactly, which only MultiPoly entries offer; any
-    other ring takes minors at every size."""
-    sign = 1
-    if len(f) < len(g):
-        f, g, sign = g, f, (-1) ** ((len(f) - 1) * (len(g) - 1))
-    rows = _bezout_rows(f, g, zero)
-    if len(rows) > _MINOR_DET_MAX and isinstance(zero, MultiPoly):
-        return sign, bareiss_det(rows)
-    return sign, _minor_det(rows, zero, one)
-
-
 def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     """Textbook resultant of a and b w.r.t. var: the determinant of the
-    Bezout rows (`_bezout_det`, module docstring).  The determinant of
-    the primitive parts has integer coefficients; the content factor is
+    Bezout rows of the primitive parts (`_bezout_rows`, the larger formal
+    degree first, with the sign (-1)^(da*db) of the swap), by minors up
+    to _MINOR_DET_MAX rows and by Bareiss above (module docstring).
+    That determinant has integer coefficients; the content factor is
     applied as a product by its numerator and an exact division by its
     denominator."""
-    _, _, prim_a, prim_b, factor = _primitive_pair(a, b, var)
-    sign, det = _bezout_det(prim_a.coefficients_in(var),
-                            prim_b.coefficients_in(var))
-    factor *= sign
+    da, db, prim_a, prim_b, factor = _primitive_pair(a, b, var)
+    f, g = prim_a.coefficients_in(var), prim_b.coefficients_in(var)
+    if da < db:
+        f, g = g, f
+        factor *= (-1) ** (da * db)
+    rows = _bezout_rows(f, g, MultiPoly.zero())
+    det = bareiss_det(rows) if len(rows) > _MINOR_DET_MAX else _minor_det(rows)
     res = det * factor.numerator
     den = factor.denominator
     return res if den == 1 else res.exact_div(MultiPoly.const(den))
@@ -299,75 +284,52 @@ def _bivariate_pair(a: MultiPoly, b: MultiPoly, var: str, spectator: str):
     return _primitive_pair(a, b, var)
 
 
-class _Truncated:
-    """An element of Z[t]/(t^n), the ring in which
-    `resultant_top` takes its determinant: the ascending coefficients of
-    t^0..t^(n-1), trailing zeros stripped, so that zero is the empty
-    list.  +, - and * are the ring's; a product drops every term of
-    degree n and above as it is formed."""
-
-    __slots__ = ("coeffs", "n")
-
-    def __init__(self, coeffs: list, n: int):
-        """coeffs is a fresh list, stripped and cut to n in place."""
-        del coeffs[n:]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = coeffs
-        self.n = n
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __neg__(self) -> "_Truncated":
-        return _Truncated([-co for co in self.coeffs], self.n)
-
-    def __add__(self, other: "_Truncated") -> "_Truncated":
-        out = self.coeffs + [0] * (len(other.coeffs) - len(self.coeffs))
-        for i, co in enumerate(other.coeffs):
-            out[i] += co
-        return _Truncated(out, self.n)
-
-    def __sub__(self, other: "_Truncated") -> "_Truncated":
-        return self + -other
-
-    def __mul__(self, other: "_Truncated") -> "_Truncated":
-        a, b, n = self.coeffs, other.coeffs, self.n
-        if not a or not b:
-            return _Truncated([], n)
-        out = [0] * min(len(a) + len(b) - 1, n)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b[:n - i]):
-                    out[i + j] += x * y
-        return _Truncated(out, n)
-
-
 def resultant_top(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
                   weight: int, lowest: int) -> tuple[int, list]:
     """(top, coeffs) for inputs in (v, s) = (var, spectator): top bounds
     deg_s Res_v(a, b), and coeffs[e] is the coefficient of s^(top - e) in
     resultant(a, b, var) for e < count = top - lowest + 1, read off one
-    determinant of `_bezout_rows` over Z[t]/(t^count): every entry,
-    product and minor is reduced mod t^count as it is formed
-    (`_Truncated`), and the determinant is expanded in minors
-    (`_minor_det`) at every size, since Bareiss would divide.
+    integer resultant (`kernels.resultant_int`) of the columns cut below
+    t^count and packed at t = 2^bits (Kronecker substitution).
 
-    Proof.  Let alpha_a be the largest j - weight*i over the terms
+    Reversal.  Let alpha_a be the largest j - weight*i over the terms
     c*v^i*s^j of a, and a^(v, t) = sum c*v^i*t^(alpha_a - j + weight*i),
     in Z[v, t]; likewise b^.  Then a(s^-weight*v, s) = s^alpha_a *
     a^(v, 1/s), and v -> lambda*v multiplies the resultant at the formal
     degrees da, db by lambda^(da*db), so Res_v(a, b)(s) = s^top *
     Res_v(a^, b^)(1/s), top = alpha_a*db + alpha_b*da + weight*da*db:
     deg_s Res <= top, and s^(top - e) has the coefficient
-    [t^e] Res_v(a^, b^).  Reduction mod t^count is a ring map, so it
-    commutes with the determinant at the formal degrees, which
-    `_bezout_rows` proves equal to the Sylvester determinant also where
-    a leading column vanishes: the determinant of the reduced entries,
-    taken in Z[t]/(t^count), is Res_v(a^, b^) mod t^count.
-    At weight -1, top is that of `resultant_interp` and its coefficient
-    the top forms' resultant.  Contents are applied as in `resultant`,
-    and an integral coefficient is returned as an int."""
+    [t^e] Res_v(a^, b^).  At weight -1, top is that of
+    `resultant_interp` and its coefficient the top forms' resultant.
+
+    Packing.  Let S(t) be the Sylvester matrix of the formal degrees
+    (da, db) on the columns of a^ and b^ (their coefficients of v^i)
+    cut below t^count, and D(t) = det S(t), in Z[t].  The cut is
+    reduction mod t^count, a ring map that commutes with the
+    determinant, so [t^e] D = [t^e] Res_v(a^, b^) for e < count.
+    Evaluation at t = 2^bits followed by reduction mod 2^(bits*count)
+    is a ring map Z[t] -> Z/2^(bits*count) that sends t^count to 0, so
+    D(2^bits) = sum_(e<count) [t^e] D * 2^(bits*e) mod 2^(bits*count).
+    D(2^bits) is the Sylvester determinant of the packed columns at the
+    formal degrees, which `kernels.resultant_int` returns also where a
+    packed leading column is zero, as it is when every term of that
+    column has a t-exponent of count or more.
+
+    Digits.  [t^e] D is a signed sum, over the permutations, of the
+    t^e coefficients of products of entries, and the 1-norm (the sum of
+    the coefficients' absolute values) is submultiplicative, so
+    |[t^e] D| <= perm(N) for N the matrix of the entries' 1-norms.
+    N >= 0, so perm(N) <= the product of its row sums, whose expansion
+    holds every permutation's product and more.  A row of a holds each
+    column of a once: its sum is norm_a, the sum of the absolute values
+    of every coefficient kept in a's columns, and likewise norm_b.  So
+    |[t^e] D| <= norm_a^db * norm_b^da < 2^(bits - 2).  Each residue
+    class mod 2^bits has one balanced digit in
+    [-2^(bits-1), 2^(bits-1)), and [t^0] D is the value's; subtracting
+    it and shifting by bits leaves sum_(e>0) [t^e] D * 2^(bits*(e-1))
+    mod 2^(bits*(count-1)), and so on for each of the count digits.
+    Contents are applied as in `resultant`, and an integral coefficient
+    is returned as an int."""
     da, db, prim_a, prim_b, factor = _bivariate_pair(a, b, var, spectator)
     terms = [list(p.exponents(var, spectator)) for p in (prim_a, prim_b)]
     alpha = [max(j - weight * i for (i, j), _ in ts) for ts in terms]
@@ -378,11 +340,19 @@ def resultant_top(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
         for (i, j), co in ts:
             if high - j + weight * i < count:
                 col[i][high - j + weight * i] = co
-    sign, det = _bezout_det(
-        *([_Truncated(c, count) for c in col] for col in cols),
-        _Truncated([], count), _Truncated([1], count))
-    coeffs = det.coeffs + [0] * (count - len(det.coeffs))
-    return top, [_rat(co * sign * factor) for co in coeffs]
+    norm_a, norm_b = (sum(abs(co) for c in col for co in c) for col in cols)
+    bits = (norm_a ** db * norm_b ** da).bit_length() + 2
+    packed_a, packed_b = ([sum(co << bits * e for e, co in enumerate(c))
+                           for c in col] for col in cols)
+    value = (kernels.resultant_int(packed_a, packed_b)
+             & ((1 << bits * count) - 1))
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    coeffs = []
+    for _ in range(count):
+        digit = ((value + half) & mask) - half
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    return top, [_rat(co * factor) for co in coeffs]
 
 
 def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:

@@ -11,7 +11,7 @@ from conftest import rand_poly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resverify import catalog, checks, poly
+from resverify import catalog, checks, kernels, poly
 from resverify.catalog import closed_form_tables, manifest
 from resverify.checks import (CHECK_NAMES, UnknownCheck,
                               check_appendix_c_leading, integer_roots,
@@ -602,6 +602,24 @@ def test_appendix_c_leading_specializes_the_cut_terms(monkeypatch):
     samples = len(checks.APPC_DEFAULT_SAMPLES)
     assert full == 772 and len(terms) == 3 * samples
     assert sum(terms) <= 0.6 * full * samples
+
+
+def test_appendix_c_leading_takes_one_integer_resultant_per_sample(
+        monkeypatch):
+    # resultant_top looks kernels.resultant_int up as a module attribute,
+    # so a wrapper set there counts every sample's one packed resultant
+    calls = []
+    inner = kernels.resultant_int
+
+    def counting(f, g):
+        calls.append((len(f), len(g)))
+        return inner(f, g)
+
+    monkeypatch.setattr(kernels, "resultant_int", counting)
+    out = run_check("appendix-c-leading")
+    assert out.passed, out.witness
+    assert calls == [(4, 5)] * len(checks.APPC_DEFAULT_SAMPLES)
+    assert len(calls) == 46
 
 
 def test_appendix_c_cofactor_contents():

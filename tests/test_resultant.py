@@ -704,12 +704,12 @@ class TestResultantTop:
     appendix-c-leading."""
 
     @staticmethod
-    def _agrees(a, b, weight):
+    def _agrees(a, b, weight, lowest=0):
         res = resultant(a, b, "k")
-        top, coeffs = resultant_top(a, b, "k", "f", weight, 0)
+        top, coeffs = resultant_top(a, b, "k", "f", weight, lowest)
         assert res.is_zero() or res.degree("f") <= top
         assert coeffs == [res.coefficient("f", top - e).constant_value()
-                          for e in range(top + 1)], (a, b, weight)
+                          for e in range(top - lowest + 1)], (a, b, weight)
         return top, coeffs
 
     @pytest.mark.parametrize("weight", [-1, 0, 1, 2])
@@ -744,8 +744,8 @@ class TestResultantTop:
         assert top == 4 and coeffs == [0, -1, 1, 0, 1]
 
     def test_more_rows_than_minor_det_max(self, rng):
-        # over Z[t]/(t^n) the Bezout determinant is expanded in minors at
-        # every size: Bareiss would divide
+        # resultant() takes Bareiss above _MINOR_DET_MAX rows, and
+        # resultant_top one packed integer resultant at every size
         pairs = [(K ** 5 + F * K ** 3 - 2 * F ** 2 * K + 3, K ** 3 - F * K + F),
                  (K ** 6 - F, K ** 2 + F ** 2 * K - 1)]
         while len(pairs) < 8:
@@ -784,6 +784,56 @@ class TestResultantTop:
         assert any(type(co) is Rat for co in coeffs)
         assert all(type(co) is int for co in coeffs if co.denominator == 1)
 
+    @pytest.mark.parametrize("weight", [-1, 0, 2])
+    def test_count_zero_reads_nothing(self, weight):
+        # count = 0: lowest > top reads nothing, but top is still returned
+        a, b = K ** 3 + F * K + 2, K ** 2 - F
+        top, _ = self._agrees(a, b, weight)
+        for lowest in (top + 1, top + 5):
+            assert resultant_top(a, b, "k", "f", weight, lowest) == (top, [])
+
+    # every coefficient is +-N: the coefficients read are negative, and
+    # the last two pairs meet the digit bound norm_a^db * norm_b^da, as
+    # each keeps one column per row mod t^count (a triangular matrix)
+    @pytest.mark.parametrize("a,b,lowest,want", [
+        ((K + 1) * (F + 1), (K - 1) * (F + 1), 0, [-2, -4, -2]),
+        (K * F ** 2 + 1, K - F ** 2, 3, [-1, 0]),
+        (-K ** 3 * F ** 3 + K ** 2 + K + 1,
+         K ** 4 + K ** 3 + K ** 2 + K - F ** 3, 19, [-1, 0, 0]),
+    ], ids=["degrees-1-1", "degrees-1-1-at-the-bound",
+            "degrees-3-4-at-the-bound"])
+    def test_negative_coefficients_near_the_digit_bound(self, a, b, lowest,
+                                                        want):
+        n = 2 ** 61 - 1
+        a, b = n * a, n * b
+        assert {abs(co) for p in (a, b) for _, co in p.terms()} == {n}
+        _, coeffs = self._agrees(a, b, 0, lowest)
+        power = a.degree("k") + b.degree("k")
+        assert coeffs == [co * n ** power for co in want]
+
+    def test_leading_columns_zero_mod_t_count(self):
+        # weight 0: a^ = t^3*k^2 + k + 1 and b^ = t^2*k + 1, so top = 7;
+        # Res = a(-f^2) = -f^5 + f^4 + f^3.  At count 2 both packed
+        # leading columns are 0, at count 3 only that of a^
+        a, b = K ** 2 + F ** 3 * K + F ** 3, K + F ** 2
+        assert self._agrees(a, b, 0, 6) == (7, [0, 0])
+        assert self._agrees(a, b, 0, 5) == (7, [0, 0, -1])
+        assert self._agrees(b, a, 0, 5) == (7, [0, 0, -1])
+        assert self._agrees(a, b, 0, 0) == (7, [0, 0, -1, 1, 1, 0, 0, 0])
+
+    def test_one_integer_resultant_per_call(self, monkeypatch):
+        # through the module attribute, so that a wrapper on kernels sees it
+        calls = []
+        inner = kernels.resultant_int
+
+        def counting(f, g):
+            calls.append((len(f), len(g)))
+            return inner(f, g)
+
+        monkeypatch.setattr(kernels, "resultant_int", counting)
+        resultant_top(K ** 3 + F * K + 2, K ** 2 - F, "k", "f", 0, 0)
+        assert calls == [(4, 3)]
+
     def test_rejects_extra_variables_and_the_variable_as_spectator(self):
         with pytest.raises(ValueError):
             resultant_top(K + M, K + F, "k", "f", 0, 0)
@@ -801,6 +851,25 @@ class TestResultantTop:
             assert top == 41, params
             assert coeffs == [res.coefficient("z", top - e).constant_value()
                               for e in range(3)], params
+
+    def test_top_coefficients_of_sweep_pairs(self, rng):
+        # the k-elimination of the sweep at weight -1: top = 107 and three
+        # coefficients of about 1,000 bits, against the full interpolated
+        # Res_k; at (7, 4, +-1) the resultant, so each of them, is 0
+        cases = [(7, 4, 1), (7, 4, -1)]
+        while len(cases) < 6:
+            mm = rng.randint(4, 15)
+            params = (mm, rng.randint(2, mm - 1), rng.choice((-1, 0, 1)))
+            if params[:2] != (7, 4) and params not in cases:
+                cases.append(params)
+        for params in cases:
+            core = build_core(params)
+            res = resultant_interp(core.H, core.K, "k", "f")
+            top, coeffs = resultant_top(core.H, core.K, "k", "f", -1, 105)
+            assert top == 107, params
+            assert coeffs == [res.coefficient("f", top - e).constant_value()
+                              for e in range(3)], params
+            assert bool(coeffs[0]) == (params[:2] != (7, 4)), params
 
 
 class TestSpecializationConsistency:
