@@ -205,6 +205,18 @@ def _truncated_core(order: int) -> tuple[AtPlan, AtPlan, AtPlan]:
     return tuple(AtPlan(p.truncate("f", n), _PARAMS) for p, n in cuts)
 
 
+@lru_cache(maxsize=1)
+def _pq_plans() -> tuple[AtPlan, AtPlan]:
+    """`AtPlan`s for m, r, c of the elimination sources P and Q cleared
+    to integer coefficients, for `sweep._pq_divisor`.  Filled on first
+    use, never at import or by manifest(); `sweep.run_sweep` fills it
+    before it forks its workers.  Kept apart from `_cleared_core`, whose
+    plans specialize the sweep pair alone."""
+    man = manifest()
+    return tuple(AtPlan(MultiPoly(man[name].cleared()[0]), _PARAMS)
+                 for name in ("P", "Q"))
+
+
 def cleared_fk_degrees() -> tuple[set[int], set[int]]:
     """The (f, k)-degrees of the terms of the cleared Hgen, and those of
     the cleared NumDerF and DenDerF together (`_cleared_core`)."""

@@ -12,9 +12,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import poly
-from .catalog import (build_core, cleared_fk_degrees, closed_form_tables,
-                      dominant_coef_value, fp_square_to_s, manifest,
-                      res_special_value)
+from .catalog import (_cleared_core, build_core, cleared_fk_degrees,
+                      closed_form_tables, dominant_coef_value, fp_square_to_s,
+                      manifest, res_special_value)
 from .parser import format_poly
 from .parser import parse  # noqa: F401  (perfbench/spans.py traces checks.parse)
 from .poly import InexactDivision, MultiPoly, horner, pseudo_division
@@ -186,18 +186,20 @@ def check_relation1_delta() -> CheckOutcome:
     the cubic block is (3/4)*f*delta."""
     run = _Run("relation1-delta")
     man = manifest()
-    # r first: r = 4 leaves 143 of Hgen's 669 terms for both m values
-    hgen, p, q, r2 = (man[name].substitute("r", 4)
-                      for name in ("Hgen", "P", "Q", "R2"))
+    # Hgen = hgen/d_h with integer coefficients (the case build's); r
+    # first: r = 4 leaves 143 of its 669 terms for both m values
+    hgen, d_h = _cleared_core()[:2]
+    hgen, p, q, r2 = (entry.substitute("r", 4)
+                      for entry in (hgen, man["P"], man["Q"], man["R2"]))
 
     def hgen_gap(mm: int) -> MultiPoly:
-        """Hgen + P*Q*R2 at (mm, 4)."""
+        """d_h * (Hgen + P*Q*R2) at (mm, 4)."""
         at = [entry.substitute("m", mm) for entry in (hgen, p, q, r2)]
-        return at[0] + at[1] * at[2] * at[3]
+        return at[0] + at[1] * at[2] * at[3] * d_h
 
     gap = hgen_gap(7)
     run.expect("Hgen equals -(P*Q*R2) at (7,4): both squared terms drop out",
-               gap.is_zero(), gap)
+               gap.is_zero(), gap * Rat(1, d_h))
     run.expect("negative control: Hgen differs from -(P*Q*R2) at (8,4)",
                not hgen_gap(8).is_zero())
     cubic = (man["rel1cubic2"].substitute("m", 7).substitute("r", 4)

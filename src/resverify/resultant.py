@@ -19,7 +19,9 @@ Sylvester determinant of the formal degrees.  `resultant_at` takes
 one, at an integer point of the other variables; `resultant_interp`
 takes one per sample of the dehomogenised inputs at the nodes
 +-1, +-2, ..., over an exponent range read off the Newton polygons of
-the columns; `resultant_top` takes one of the columns cut mod t^count
+the columns, less the degree of a divisor of the resultant that the
+caller has proved (each sample is divided by its value);
+`resultant_top` takes one of the columns cut mod t^count
 and packed at t = 2^bits, and reads a bivariate resultant's top
 coefficients off its digits.  `sylvester` builds the Sylvester matrix
 itself.
@@ -32,6 +34,7 @@ value is exactly the textbook resultant of the inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -439,8 +442,29 @@ def _newton_range(acols: list[list[int]],
     return -_degree_bound(neg_a, neg_b), hi
 
 
+def _in_w(divisor: MultiPoly, spectator: str, step: int) -> list[int]:
+    """Ascending coefficients of D~(w), the primitive integer part of
+    divisor written in w = s^-step from its top degree h: d_j s^j
+    becomes d_j w^((h - j)/step) (`resultant_interp`).  A zero divisor,
+    one with a variable other than the spectator s, or with an exponent
+    j where step does not divide h - j, raises ValueError."""
+    if divisor.is_zero() or divisor.vars_used() - {spectator}:
+        raise ValueError(f"the divisor must be a nonzero polynomial in "
+                         f"{spectator!r} alone")
+    terms = {j: co for (j,), co in divisor.primitive()[1].exponents(spectator)}
+    high = max(terms)
+    if any((high - j) % step for j in terms):
+        raise ValueError(f"the divisor's {spectator!r}-exponents are not "
+                         f"{high} minus multiples of {step}")
+    coeffs = [0] * ((high - min(terms)) // step + 1)
+    for j, co in terms.items():
+        coeffs[(high - j) // step] = co
+    return coeffs
+
+
 def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
-                     deadline: float | None = None) -> MultiPoly:
+                     deadline: float | None = None,
+                     divisor: MultiPoly | None = None) -> MultiPoly:
     """resultant(a, b, var) for bivariate inputs in (v, s) = (var,
     spectator), by sampling the dehomogenised inputs at integers, taking
     each integer resultant by the subresultant PRS
@@ -479,15 +503,35 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     on them no leading term cancels (with sigma = tau, the leading
     coefficients of the two roots are roots of independent face
     polynomials), so they are the degree and order of such a resultant.
-    The samples give values det / w^lo, an exact integer division, and
-    hi - lo + 1 coefficients.  Every node is a valid sample:
-    `kernels.resultant_int` returns the Sylvester determinant of the
-    formal degrees da, db, so the value is Res(w) also where a leading
-    coefficient vanishes at w (Collins 1971).  Res has integer
+    The samples give the values Y(w) = det / w^lo, an exact integer
+    division, of count = hi - lo + 1 coefficients.  Every node is a valid
+    sample: `kernels.resultant_int` returns the Sylvester determinant of
+    the formal degrees da, db, so the value is Res(w) also where a
+    leading coefficient vanishes at w (Collins 1971).  Res has integer
     coefficients, so Newton interpolation at the integer nodes runs in
     integers with exact divisions.  A structural zero takes the guard
-    sample alone, which must vanish.  The sweep pair in k at c = +-1
-    takes 42 coefficients (f^25..f^107, step 2) and the guard; in f
+    sample alone, which must vanish.
+
+    Divisor.  divisor is a nonzero polynomial D in the spectator alone
+    that the caller has proved to divide Res_v(a, b); None stands for
+    D = 1.  With h = deg_s D, its primitive integer part sum d_j s^j is
+    written in w as D~(w) = sum d_j w^((h - j)/step), a ValueError for
+    any other variable or unless step divides every h - j.  D~(0) = d_h
+    is nonzero, so D~ is prime to w, and D~(t^step) = t^h * D(1/t) is
+    the reversal of D.  Reversal is multiplicative: Res = D*C in Q[s]
+    gives t^top * Res(1/t) = w^lo * Y(w) = D~(w) * C~(t), with
+    C~ = t^(top-h) * C(1/t) in Q[t] as deg C <= top - h.  The remainder
+    of w^lo * Y by D~ in Q[w] is then a multiple of D~ in Q[t] of lower
+    degree, so zero; D~ is prime to w^lo, so it divides Y in Q[w], and
+    in Z[w] by Gauss's lemma, as it is primitive.  So Y = D~ * q with q
+    in Z[w] of count - deg D~ coefficients (none where
+    count <= deg D~: then Y = 0).  Each sample is divided by
+    w^lo * D~(w), exactly or ArithmeticError; a node with D~(w) = 0 is
+    skipped, as the sample there reads 0/0 (D~ has at most deg D~
+    roots).  q is interpolated, the guard checks q, and D~ * q is
+    returned.  The sweep pair in k at c = +-1 has 42 coefficients
+    (f^25..f^107, step 2); `sweep` passes D = S^4, of degree 12 in w
+    (`sweep._pq_divisor`), so it takes 30 samples and the guard.  In f
     every case is a structural zero, as f divides H and K.
 
     deadline is an optional time.monotonic() timestamp; crossing it
@@ -516,23 +560,37 @@ def resultant_interp(a: MultiPoly, b: MultiPoly, var: str, spectator: str,
     else:
         low, high = span
         count = high - low + 1
-    nodes = [(i // 2 + 1) * (-1) ** i for i in range(count + 1)]
+    dcoeffs = [1] if divisor is None else _in_w(divisor, spectator, step)
+    wanted = max(count - len(dcoeffs) + 1, 0)  # coefficients of q
 
+    nodes: list[int] = []
     ys: list[int] = []
-    for w in nodes:  # count coefficients, +1 consistency guard
+    for i in itertools.count():  # the coefficients of q, +1 consistency guard
+        w = (i // 2 + 1) * (-1) ** i
+        dw = horner(dcoeffs, w)
+        if not dw:
+            continue  # a root of the divisor: the sample is 0/0
         if deadline is not None and time.monotonic() > deadline:
             raise ComputationTimeout("per-case deadline expired")
         value, rest = divmod(
             kernels.resultant_int([horner(col, w) for col in acols],
                                   [horner(col, w) for col in bcols]),
-            w ** low)
+            w ** low * dw)
         if rest:
-            raise ArithmeticError(f"sample at {w} not divisible by {w}^{low}")
+            raise ArithmeticError(f"sample at {w} not divisible by "
+                                  f"{w}^{low} * divisor({w})")
+        nodes.append(w)
         ys.append(value)
+        if len(ys) > wanted:
+            break
 
-    coeffs = _newton_interpolate(nodes[:-1], ys[:-1]) if count else [0]
-    if horner(coeffs, nodes[-1]) != ys[-1]:
+    quot = _newton_interpolate(nodes[:-1], ys[:-1]) if wanted else [0]
+    if horner(quot, nodes[-1]) != ys[-1]:
         raise ArithmeticError("interpolation guard sample mismatch")
+    coeffs = [0] * (len(dcoeffs) + len(quot) - 1)
+    for i, d in enumerate(dcoeffs):
+        for j, q in enumerate(quot):
+            coeffs[i + j] += d * q
     # coefficient i multiplies w^(low + i) = s^(top - step*(low + i))
     js = VAR_INDEX[spectator]
     return MultiPoly({(0,) * js + (top - step * (low + i),): factor * co

@@ -4,10 +4,16 @@ Each case is independent (immutable inputs, one worker computes one
 case), so results are deterministic and independent of worker count;
 the report lists them in grid order.
 
+In k at c != 0 a case hands `resultant_interp` the divisor S^4, where
+S is Res_k(P, Q) without its power of f (`_pq_divisor`, which proves
+that S^4 divides Res_k(H, K)): the samples interpolate only the
+cofactor, 30 of the 42 coefficients.
+
 With --jobs N > 1 the sweep forks min(N, cases) workers itself
 (`_fork_map`).  Fork, not spawn: the workers inherit the case-build
-cache that the parent fills first (`catalog._cleared_core`), and the
-cases themselves, so nothing is sent per case but its index.  Before
+caches that the parent fills first (`catalog._cleared_core` and
+`catalog._pq_plans`), and the cases themselves, so nothing is sent per
+case but its index.  Before
 forking, the parent writes every case index into one pipe and closes
 it; each worker reads the next index when it is free, so a faster
 worker takes more cases, names the index on its own pipe and then
@@ -22,8 +28,9 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .catalog import _cleared_core, build_core
-from .resultant import ComputationTimeout, resultant_interp
+from .catalog import _cleared_core, _pq_plans, build_core
+from .poly import MultiPoly
+from .resultant import ComputationTimeout, resultant, resultant_interp
 
 
 class UsageError(ValueError):
@@ -123,6 +130,49 @@ class SweepReport:
         return any(res.error is not None for res in self.results)
 
 
+def _pq_divisor(mm: int, rr: int, cc: int) -> MultiPoly | None:
+    """S^4, where S is Res_k(P, Q) at (m, r, c) with its power of f
+    removed: a divisor of Res_k(H, K) in f, which `run_case` hands to
+    `resultant_interp`.  None where Res_k(P, Q) = 0.  P and Q are the
+    elimination sources of the manifest, specialized by the plans of
+    their integer-cleared forms (`catalog._pq_plans`); the integer
+    factor that clearing adds to S does not change what divides.
+
+    Proof that S^4 divides Res_k(H, K).  Let J = (P, Q) in Q[f, k].
+    Hgen = conic2*(A*P^2 + B*Q^2) - P*Q*R2 lies in J^2, and so does
+    H = Hgen/(m - r).  By the product rule the derivatives H_f and H_k
+    lie in J, and NumDerF = 2(r-1)(m f + 2k)*Q - 2(m(m-r+3) f - 2(r-1) k)*P
+    and DenDerF = 3m(m f + 2k)*Q lie in J, so
+    K = H_f*NumDerF + H_k*DenDerF lies in J^2 as well.  The leading
+    k-coefficients are lc_k(Hgen) = 12 f m (2m+7)^2 (r-1)^5 (m^2-5m+7)
+    (k-degree 8) and lc_k(P) = -2 (r-1)^2 (2m+7) (k-degree 3); for
+    m >= 4 and 2 <= r <= m-1 both are nonzero at every f0 != 0, as
+    m^2 - 5m + 7 has no real root.  Let f0 != 0 be a root of S, over
+    the algebraic closure.  With a leading coefficient nonzero at f0,
+    ord_f0 Res_k(F, G) is the sum of the intersection numbers
+    I_p(F, G) over the common zeros p = (f0, k0) (Fulton, Algebraic
+    Curves, §1.6 and §3.3).  Res_k(P, Q) != 0, so each such p is an
+    isolated zero of J and J is primary to its maximal ideal in the
+    local ring O_p, which is regular of dimension 2.  If H and K share a
+    component through p, it has positive k-degree (a factor f - f0
+    would divide lc_k(H)), so Res_k(H, K) = 0 and S^4 divides it.
+    Otherwise I_p(H, K) is the length of O_p/(H, K), which equals the
+    multiplicity e((H, K)) of that parameter ideal, and (H, K) in J^2
+    gives e((H, K)) >= e(J^2) = 2^2 e(J) = 4 I_p(P, Q) (Matsumura,
+    Commutative Ring Theory, §14).  Summed over p:
+    ord_f0 Res_k(H, K) >= 4 ord_f0 Res_k(P, Q) = 4 ord_f0 S, as S has
+    no root at f = 0.  So S^4 divides Res_k(H, K) in Q[f].
+
+    At c = 0, P and Q are binary cubic forms in (f, k), so S is a
+    constant and there is nothing to divide."""
+    p, q = (plan.at({"m": mm, "r": rr, "c": cc}) for plan in _pq_plans())
+    res = resultant(p, q, "k")
+    if res.is_zero():
+        return None
+    low = min(e for (e,), _ in res.exponents("f"))
+    return res.exact_div(MultiPoly.var("f", low)) ** 4
+
+
 def run_case(mm: int, rr: int, cc: int, var: str,
              timeout_s: float | None = None) -> CaseResult:
     """One grid point: build H and K exactly and eliminate var.  A case
@@ -133,7 +183,9 @@ def run_case(mm: int, rr: int, cc: int, var: str,
     spectator = "f" if var == "k" else "k"
     try:
         core = build_core((mm, rr, cc))
-        res = resultant_interp(core.H, core.K, var, spectator, deadline=deadline)
+        divisor = _pq_divisor(mm, rr, cc) if var == "k" and cc else None
+        res = resultant_interp(core.H, core.K, var, spectator,
+                               deadline=deadline, divisor=divisor)
     except ComputationTimeout:
         return CaseResult(mm, rr, cc, var, False, None, None,
                           (time.monotonic() - start) * 1000.0, timed_out=True)
@@ -264,10 +316,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     args = [(mm, rr, cc, config.var, config.case_timeout)
             for (mm, rr, cc) in cases]
     if config.jobs > 1 and len(cases) > 1:
-        # fill the case-build cache here, once: forked workers inherit it
-        # instead of each clearing the entries and planning their
+        # fill the case-build caches here, once: forked workers inherit
+        # them instead of each clearing the entries and planning their
         # specialization again
         _cleared_core()
+        _pq_plans()
         results = _fork_map(_case_worker, args, min(config.jobs, len(cases)))
     else:
         results = [_case_worker(a) for a in args]

@@ -223,19 +223,21 @@ class TestIntegerBuild:
         assert seen and set(seen) == {int}
 
     def test_manifest_leaves_cleared_cache_empty(self):
-        # the integer entries are cleared on the first build_core, never
-        # at import or by manifest(), so the setup cost does not grow
+        # the integer entries are cleared on the first build_core, and the
+        # plans of P and Q on the first k-case, never at import or by
+        # manifest(), so the setup cost does not grow
         src = str(Path(resverify.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import resverify\n"
                 "from resverify import catalog\n"
                 "catalog.manifest()\n"
                 "print(catalog._cleared_core.cache_info().currsize,\n"
-                "      catalog._truncated_core.cache_info().currsize)\n")
+                "      catalog._truncated_core.cache_info().currsize,\n"
+                "      catalog._pq_plans.cache_info().currsize)\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "0 0"
+        assert out.stdout.strip() == "0 0 0"
 
 
 # the default samples of appendix-c-leading and four larger ones

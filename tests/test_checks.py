@@ -218,7 +218,13 @@ def test_relation1_delta_fails_on_perturbed_hgen(monkeypatch, perturb,
     man = manifest()
     bad = dataclasses.replace(man, values={**man.values, "Hgen": perturb(man)})
     monkeypatch.setattr(checks, "manifest", lambda: bad)
-    out = run_check("relation1-delta")
+    # the check reads Hgen as the catalog clears it (`_cleared_core`)
+    monkeypatch.setattr(catalog, "manifest", lambda: bad)
+    catalog._cleared_core.cache_clear()
+    try:
+        out = run_check("relation1-delta")
+    finally:
+        catalog._cleared_core.cache_clear()
     assert not out.passed
     assert out.detail[failing] == "FAIL"
 

@@ -19,24 +19,28 @@ from resverify.sweep import (SweepConfig, UsageError, _serve,
                              run_sweep)
 
 
-def _failing(a, b, var, spectator, deadline=None):
+def _failing(a, b, var, spectator, deadline=None, divisor=None):
     if a == sweep.build_core((4, 2, 0)).H:
         raise ArithmeticError("planted failure")
-    return resultant_interp(a, b, var, spectator, deadline=deadline)
+    return resultant_interp(a, b, var, spectator, deadline=deadline,
+                            divisor=divisor)
 
 
 @pytest.fixture
 def pool_starts(monkeypatch):
     """(worker count, case-build cache entries, names of the cached
-    specialization plans) at each parallel map; the stand-in for
-    `sweep._fork_map` runs the cases in this process, so no count of
-    workers asked for starts a process."""
+    specialization plans of the sweep pair, and of P and Q) at each
+    parallel map; the stand-in for `sweep._fork_map` runs the cases in
+    this process, so no count of workers asked for starts a process."""
     starts = []
 
     def in_process_map(fn, args, workers):
         filled = catalog._cleared_core.cache_info().currsize
         plans = catalog._cleared_core()[-1] if filled else ()
-        starts.append((workers, filled, [plan.names for plan in plans]))
+        pq = (catalog._pq_plans()
+              if catalog._pq_plans.cache_info().currsize else ())
+        starts.append((workers, filled, [plan.names for plan in plans],
+                       [plan.names for plan in pq]))
         return [fn(a) for a in args]
 
     monkeypatch.setattr(sweep, "_fork_map", in_process_map)
@@ -187,15 +191,17 @@ class TestSweep:
         cfg = SweepConfig(var="k", m_lo=4, m_hi=4, c_list=(1,), jobs=100000)
         report = run_sweep(cfg)
         assert [res.key() for res in report.results] == [(4, 2, 1), (4, 3, 1)]
-        assert [size for size, _, _ in pool_starts] == [2]
+        assert [start[0] for start in pool_starts] == [2]
 
     def test_case_build_cache_filled_before_pool(self, pool_starts):
         # forked workers inherit the cleared catalog entries and their
-        # specialization plans instead of each building them again
+        # specialization plans instead of each building them again, and
+        # the plans of P and Q that the divisor of each k-case needs
         catalog._cleared_core.cache_clear()
+        catalog._pq_plans.cache_clear()
         run_sweep(SweepConfig(var="k", m_lo=4, m_hi=4, c_list=(1,), jobs=2))
         assert [start[1:] for start in pool_starts] == \
-            [(1, [("m", "r", "c")] * 3)]
+            [(1, [("m", "r", "c")] * 3, [("m", "r", "c")] * 2)]
 
     def test_import_loads_no_process_pool(self):
         # only --jobs > 1 forks workers: a fresh start through the

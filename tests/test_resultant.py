@@ -3,6 +3,7 @@ determinants, resultants on both paths, integer interpolation, and
 subresultant gcd."""
 
 import importlib
+import random
 
 import pytest
 from conftest import (BIVARIATE_SHAPES, SHAPES, cofactor_det, rand_nonzero,
@@ -20,7 +21,8 @@ from resverify.resultant import (_MINOR_DET_MAX, BothConstant, ZeroInput,
                                  bareiss_det, gcd_subresultant, resultant,
                                  resultant_at, resultant_interp,
                                  resultant_top, sylvester)
-from resverify.sweep import run_case
+from resverify.parser import parse
+from resverify.sweep import _pq_divisor, run_case
 
 V = variables()
 F, K, Z, M, C = V["f"], V["k"], V["z"], V["m"], V["c"]
@@ -595,10 +597,11 @@ class TestSampleBound:
 
     @pytest.mark.parametrize("cc", [1, -1])
     def test_sweep_samples_are_small(self, samples, cc):
-        # dehomogenised in w of degree <= 4, at nodes +-1, ..., +-22, each
-        # sample input fits in 96 bits (143 bits at f = 1..43)
+        # dehomogenised in w of degree <= 4, at nodes +-1, +-2, ..., each
+        # sample input fits in 96 bits (143 bits at f = 1..43); the
+        # divisor S^4 leaves 30 coefficients and the guard
         run_case(15, 8, cc, "k")
-        assert len(samples) == 43
+        assert len(samples) == 31
         assert max(abs(x).bit_length()
                    for f, g in samples for x in f + g) <= 96
 
@@ -631,14 +634,15 @@ class TestSampleBound:
 
     def test_sweep_case_sample_counts(self, det_calls):
         # the bound gives f-exponents 25..107 in steps of 2 at c = +-1
-        # (42 coefficients and the guard); only f^107 at c = 0.  Each
-        # sample has the formal degrees of H and K: 8 and 11 in k, 9
-        # and 12 in f
+        # (42 coefficients), less the 12 of the divisor S^4 in w: 30
+        # coefficients and the guard; only f^107 at c = 0.  Each sample
+        # has the formal degrees of H and K: 8 and 11 in k, 9 and 12
+        # in f
         run_case(15, 8, 0, "k")
         assert det_calls == [(8, 11)] * 2
         del det_calls[:]
         run_case(15, 8, 1, "k")
-        assert det_calls == [(8, 11)] * 43
+        assert det_calls == [(8, 11)] * 31
         # f divides H and K: a structural zero, the guard sample alone
         for params in ((15, 8, 1), (4, 2, 0), (7, 4, -1)):
             del det_calls[:]
@@ -648,9 +652,85 @@ class TestSampleBound:
     @pytest.mark.parametrize("cc", [1, -1])
     def test_conic_zero_is_sampled(self, det_calls, cc):
         # the (7,4) zero in k comes from the common conic factor, not from
-        # the shape of the Sylvester matrix, so the full range is sampled
+        # the shape of the Sylvester matrix, so the full range is sampled,
+        # less the degree of the divisor S^4
         assert run_case(7, 4, cc, "k").zero
-        assert len(det_calls) == 43
+        assert len(det_calls) == 31
+
+
+def _divisor_cases() -> list[tuple[int, int, int]]:
+    """Eight sweep cases of m <= 30, drawn with a fixed seed, and the
+    (7,4) zeros, a c = 0 case and two at m = 30."""
+    draw = random.Random(2027)
+    cases = {(7, 4, 1), (7, 4, -1), (11, 6, 0), (30, 17, 1), (30, 2, -1)}
+    while len(cases) < 13:
+        mm = draw.randint(4, 30)
+        cases.add((mm, draw.randint(2, mm - 1), draw.choice((-1, 1))))
+    return sorted(cases)
+
+
+class TestDivisor:
+    """resultant_interp(..., divisor=D) interpolates Res / D and returns
+    D times it: the same resultant from fewer samples."""
+
+    @pytest.mark.parametrize("params", _divisor_cases())
+    def test_sweep_divisor_keeps_the_resultant(self, params):
+        core = build_core(params)
+        divisor = _pq_divisor(*params)
+        plain = resultant_interp(core.H, core.K, "k", "f")
+        assert resultant_interp(core.H, core.K, "k", "f",
+                                divisor=divisor) == plain
+        # S^4 divides the resultant of the plain route: the theorem of
+        # `sweep._pq_divisor`, checked without it
+        plain.exact_div(divisor)
+        assert plain.is_zero() == (params[:2] == (7, 4))
+        if params[2] == 0:  # P and Q are binary cubic forms
+            assert divisor.is_constant()
+        else:
+            assert divisor.degree("f") == 24
+
+    def test_leading_coefficients_of_the_proof(self):
+        # lc_k(Hgen) and lc_k(P), nonzero off f = 0 for m >= 4, r >= 2
+        man = manifest()
+        hgen, p = man["Hgen"], man["P"]
+        assert (hgen.degree("k"), p.degree("k")) == (8, 3)
+        assert hgen.coefficient("k", 8) == parse(
+            "12*f*m*(2*m + 7)^2*(r - 1)^5*(m^2 - 5*m + 7)")
+        assert p.coefficient("k", 3) == parse("-2*(r - 1)^2*(2*m + 7)")
+
+    def test_non_divisor_raises(self):
+        core = build_core((9, 3, -1))
+        with pytest.raises(ArithmeticError):
+            resultant_interp(core.H, core.K, "k", "f", divisor=F ** 2 + 3)
+
+    @pytest.mark.parametrize("divisor", [F + K, C * F, F ** 2 + F,
+                                         MultiPoly.zero()],
+                             ids=["var", "spectator-free-var", "odd", "zero"])
+    def test_bad_divisor_raises(self, divisor):
+        # the sweep pair has step 2: its f-exponents share one parity
+        core = build_core((9, 3, -1))
+        with pytest.raises(ValueError, match="divisor"):
+            resultant_interp(core.H, core.K, "k", "f", divisor=divisor)
+
+    def test_unit_divisor_takes_the_plain_samples(self, samples):
+        core = build_core((12, 5, 1))
+        plain = resultant_interp(core.H, core.K, "k", "f")
+        taken = list(samples)
+        del samples[:]
+        assert resultant_interp(core.H, core.K, "k", "f",
+                                divisor=MultiPoly.const(1)) == plain
+        assert samples == taken
+
+    @pytest.mark.parametrize("divisor", [F - 1, F + 1, (F - 1) * (F + 1),
+                                         (F - 1) * Rat(2, 3)])
+    def test_roots_of_the_divisor_are_skipped(self, det_calls, divisor):
+        # Res_k(a, k) = a(0) = (f - 1)(f + 1)(f + 2), 4 coefficients; in
+        # w = 1/f the divisor vanishes at the node 1 or -1, where the
+        # division would be by zero, so that node is passed over
+        a = K ** 2 + (F - 1) * (F + 1) * (F + 2)
+        res = resultant(a, K, "k")
+        assert resultant_interp(a, K, "k", "f", divisor=divisor) == res
+        assert len(det_calls) == 4 - divisor.degree("f") + 1
 
 
 class TestResultantAt:
