@@ -217,12 +217,18 @@ def _pq_plans() -> tuple[AtPlan, AtPlan]:
                  for name in ("P", "Q"))
 
 
-def cleared_fk_degrees() -> tuple[set[int], set[int]]:
-    """The (f, k)-degrees of the terms of the cleared Hgen, and those of
-    the cleared NumDerF and DenDerF together (`_cleared_core`)."""
+def cleared_gradings() -> tuple[tuple[set[int], set[int]], ...]:
+    """For the cleared Hgen, NumDerF and DenDerF of `_cleared_core`, in
+    that order: the (f, k)-degrees of their terms and their weights,
+    with f and k of weight 1 and c of weight 2, in one pass over the
+    terms.  Not cached, so a planted cleared core is read as it is."""
     hgen, _, num, den, _, _ = _cleared_core()
-    return tuple({i + j for p in ps for (i, j), _ in p.exponents("f", "k")}
-                 for ps in ((hgen,), (num, den)))
+    out = []
+    for p in (hgen, num, den):
+        exps = {e for e, _ in p.exponents("f", "k", "c")}
+        out.append(({i + j for i, j, _ in exps},
+                    {i + j + 2 * s for i, j, s in exps}))
+    return tuple(out)
 
 
 class CoreCatalog:

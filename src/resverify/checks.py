@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import poly
-from .catalog import (_cleared_core, build_core, cleared_fk_degrees,
+from .catalog import (_cleared_core, build_core, cleared_gradings,
                       closed_form_tables, dominant_coef_value, fp_square_to_s,
                       manifest, res_special_value)
 from .parser import format_poly
@@ -486,7 +486,7 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     2 * deg_z Res_u, and the primitive part of Res_f is prim(Res_u)^2
     (Gauss's lemma), a perfect square by the evenness in f of both
     inputs.  The evenness is structural.  Generic fact, checked once
-    per run (`catalog.cleared_fk_degrees`): the cleared Hgen has the
+    per run (`catalog.cleared_gradings`): the cleared Hgen has the
     (f, k)-degrees {3, 5, 7, 9}, and NumDerF and DenDerF have {2, 4}.
     So at every sample H has odd (f, k)-degrees up to 9 and
     K = H_f*NumDerF + H_k*DenDerF even ones from 4 to 12: the
@@ -517,6 +517,26 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     them too).  The evenness of the full halves then follows from the
     generic fact.  Any other sample takes the full build.
 
+    Twins.  Give f and k weight 1 and c weight 2.  Weight fact, checked
+    in the same pass as the generic fact: every term of the cleared
+    Hgen has weight 9, and every term of NumDerF and DenDerF weight 4.
+    Then H = Hgen/(m - r) has weight 9 and K = H_f*NumDerF +
+    H_k*DenDerF weight 12 (w = 9 resp. 12).  At a sample the coefficient
+    of f^p k^q holds only the terms of c-degree s = (w - p - q)/2, so
+    c0 -> -c0 multiplies it by (-1)^s.  `reduce_to_z` and the halving
+    send k^q f^p to u^e z^q with e = 3 - s in new_h and e = 4 - s in
+    new_k, so the sign is (-1)^(3-e) = -(-1)^e resp. (-1)^e.  The
+    halves (A, B) at (m, r, c0) thus give those at (m, r, -c0) as
+    -A(-u) and B(-u) (`MultiPoly.reflect`).  The cut mod f^(count+1)
+    acts term by term, so the rule holds for cut pairs too, and the
+    supports are unchanged: the evenness, the u-degrees and the alphas
+    carry over, and a twin skips the structural test.  So a sample
+    whose twin (m, r, -c0) built its even halves earlier in the run,
+    cut or full, takes them reflected.  Reflected halves are not
+    reflected again, a sample never takes the halves of an equal one,
+    and when the weight fact fails every sample builds.  Each sample
+    still takes its own `resultant_top` and its own lines.
+
     Cofactor.  Res_u(A, B) is the Sylvester determinant of the u-degrees
     da = 3 (H) and db = 4 (K): db rows of coefficients of A and da rows
     of B, so Res_u(lambda*A, mu*B) = lambda^4 * mu^3 * Res_u(A, B) for
@@ -534,15 +554,19 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     it is mu^da for mu = 1/m, as if the published K were the primitive
     Kgen divided by m, which divides it, but the catalog states no such
     pair.  It held on every sample tried, the m = 2r-1 family against
-    `res_special_value` included.  The check rests on none of this: it
-    compares both sides exactly at every sample."""
+    `res_special_value` included.  The check rests on none of this,
+    only on the generic degree and weight facts, which it checks each
+    run: it compares both sides exactly at every sample."""
     run = _Run("appendix-c-leading")
     run.note("samples", len(samples))
     if len(samples) < 40:
         run.expect("at least 40 samples", False)
         return run.outcome()
-    h_degrees, d_degrees = cleared_fk_degrees()
-    generic = h_degrees <= {3, 5, 7, 9} and d_degrees <= {2, 4}
+    (h_degrees, h_weights), *derf = cleared_gradings()
+    generic = (h_degrees <= {3, 5, 7, 9}
+               and all(degrees <= {2, 4} for degrees, _ in derf))
+    weighted = h_weights <= {9} and all(w <= {4} for _, w in derf)
+    built = {}  # (m, r, c) -> the even halves that sample built
     for mm, rr, cc in samples:
         tag = f"({mm},{rr},{cc})"
         special = mm == 2 * rr - 1
@@ -550,10 +574,17 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
         low = want_deg // 2
         count = 41 - low + 1  # coefficients read at top = 41
         params = (mm, rr, cc)
-        halves = (_halves(build_core(params, f_order=count)) if generic
-                  else [])
-        if not _structural(halves):
-            halves = _halves(build_core(params))
+        twin = (built.get((mm, rr, -cc)) if weighted and cc
+                and all(type(v) is int for v in params) else None)
+        if twin is not None:
+            halves = [-twin[0].reflect("f"), twin[1].reflect("f")]
+        else:
+            halves = (_halves(build_core(params, f_order=count)) if generic
+                      else [])
+            if not _structural(halves):
+                halves = _halves(build_core(params))
+            if None not in halves:
+                built[params] = halves
         even = None not in halves
         if even:
             top, coeffs = resultant_top(*halves, "f", "z", 2, low)

@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
-from .catalog import MANIFEST_TEXT
+from .catalog import MANIFEST_TEXT, manifest
 from .checks import CHECK_NAMES, CheckOutcome, UnknownCheck, run_check
 from .kernels import ExponentOverflow
 from .parser import format_poly, load_manifest
@@ -68,7 +69,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sw.add_argument("--stable-output", action="store_true",
                     help="omit elapsed-time fields for byte-identical output")
     sw.add_argument("--case-timeout", type=float, default=300.0,
-                    help="per-case timeout in seconds (0 disables)")
+                    help="per-case deadline in seconds (0 disables); "
+                         "cooperative: checked only between samples, so "
+                         "the case build and the interpolation run to "
+                         "the end, and with --jobs > 1 one stuck worker "
+                         "stalls the sweep")
 
     ck = sub.add_parser("check", help="run one named identity check")
     ck.add_argument("name", choices=CHECK_NAMES)
@@ -88,16 +93,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit_check(outcome: CheckOutcome, fmt: str, out) -> None:
+def _emit_check(outcome: CheckOutcome, manifest_ms: float, fmt: str,
+                out) -> None:
     if fmt == "json":
         payload = {"check": outcome.name, "pass": outcome.passed,
-                   "detail": outcome.detail, "ms": round(outcome.elapsed_ms, 3)}
+                   "detail": outcome.detail, "ms": round(outcome.elapsed_ms, 3),
+                   "manifest_ms": round(manifest_ms, 3)}
         if outcome.witness is not None:
             payload["witness"] = outcome.witness
         print(json.dumps(payload, indent=2), file=out)
     else:
         status = "PASS" if outcome.passed else "FAIL"
-        print(f"{status}: {outcome.name} ({outcome.elapsed_ms:.0f} ms)", file=out)
+        print(f"{status}: {outcome.name} ({outcome.elapsed_ms:.0f} ms; "
+              f"manifest {manifest_ms:.0f} ms)", file=out)
         for label, value in outcome.detail.items():
             print(f"  {label}: {value}", file=out)
         if outcome.witness is not None:
@@ -130,13 +138,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.c is None:
-        outcome = run_check(args.name)
-    elif args.name == "special-case":
-        outcome = run_check(args.name, c_mode=args.c)
-    else:
-        raise UsageError(f"--c applies to special-case only, not {args.name}")
-    _emit_check(outcome, args.format, sys.stdout)
+    kwargs = {}
+    if args.c is not None:
+        if args.name != "special-case":
+            raise UsageError(f"--c applies to special-case only, not {args.name}")
+        kwargs["c_mode"] = args.c
+    # the embedded manifest is parsed once, on first use: timed apart,
+    # so that the check's own time is not mostly the parse
+    start = time.monotonic()
+    manifest()
+    manifest_ms = (time.monotonic() - start) * 1000.0
+    outcome = run_check(args.name, **kwargs)
+    _emit_check(outcome, manifest_ms, args.format, sys.stdout)
     return EXIT_OK if outcome.passed else EXIT_MISMATCH
 
 

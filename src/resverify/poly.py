@@ -353,6 +353,13 @@ class MultiPoly:
             out[key - (e >> 1) * unit] = coeff
         return MultiPoly._raw(out)
 
+    def reflect(self, name: str) -> "MultiPoly":
+        """self.substitute(name, -name): the terms of odd degree in the
+        variable change sign, read off the low bit of its key field."""
+        odd = 1 << _SHIFTS[_check_var(name)]
+        return MultiPoly._raw({key: -coeff if key & odd else coeff
+                               for key, coeff in self._d.items()})
+
     def substitute_slope(self, var: str, new: str, base: str,
                          drop: int) -> "MultiPoly":
         """self(var -> new*base) / base^drop, monomial by monomial:

@@ -89,6 +89,13 @@ class TestBuildCore:
             assert spec.H * (mm - rr) == at(gen.H)
             assert spec.K * (mm - rr) == at(gen.K)
 
+    def test_cleared_gradings(self):
+        # appendix-c-leading's generic facts: the (f, k)-degrees of the
+        # cleared Hgen, NumDerF and DenDerF, and their weights with f
+        # and k of weight 1 and c of weight 2
+        assert catalog.cleared_gradings() == (
+            ({3, 5, 7, 9}, {9}), ({2, 4}, {4}), ({2, 4}, {4}))
+
     def test_symbolic_c_specialization(self):
         sym = build_core((7, 4, None))
         assert "c" in sym.H.vars_used() and "c" in sym.K.vars_used()
@@ -276,6 +283,27 @@ class TestTruncatedBuild:
     def test_truncated_plans_are_smaller(self):
         plans = catalog._truncated_core(2)
         assert [len(plan._plan[3]) for plan in plans] == [260, 35, 29]
+
+    @pytest.mark.parametrize("n", [2, 3, None])
+    def test_reflected_halves_are_the_twin_build(self, n):
+        # the twin rule of appendix-c-leading: the halves (A, B) at
+        # (m, r, c) give those at (m, r, -c) as -A(-u) and B(-u), cut
+        # or full
+        pairs = sorted({(mm, rr) for mm, rr, _ in APPC_DEFAULT_SAMPLES})
+        assert len(pairs) == 23
+        for mm, rr in pairs:
+            core, twin = (build_core((mm, rr, cc), f_order=n)
+                          for cc in (1, -1))
+            a, b = (p.halve_exponents("f") for p in (core.new_h, core.new_k))
+            assert -a.reflect("f") == twin.new_h.halve_exponents("f")
+            assert b.reflect("f") == twin.new_k.halve_exponents("f")
+
+    def test_default_samples_come_in_twins(self):
+        # the traffic the twin rule saves on: every (m, r) once at each
+        # sign of c, and no sample twice
+        samples = list(APPC_DEFAULT_SAMPLES)
+        assert len(set(samples)) == len(samples) == 46
+        assert {(mm, rr, -cc) for mm, rr, cc in samples} == set(samples)
 
     @pytest.mark.parametrize("params, n", [
         (None, 2), ((7, 4, None), 2), ((7, 4, 1), -1), ((7, 4, 1), 2.0),

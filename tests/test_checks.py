@@ -591,9 +591,11 @@ def test_appendix_c_leading_fails_on_even_generic_degree(monkeypatch,
 
 
 def test_appendix_c_leading_specializes_the_cut_terms(monkeypatch):
-    # work guard, no timer: the generic terms AtPlan.at specializes in a
-    # default run are at most 60% of what full builds would take
-    # (260 + 35 + 29 of 669 + 49 + 54 terms at count 2)
+    # work guard, no timer: a default run builds each (m, r) once, at
+    # c = -1, and reflects the halves for c = 1; the generic terms
+    # AtPlan.at specializes are at most 25% of what a full build per
+    # sample would take (20 builds of 260 + 35 + 29 terms at count 2,
+    # 3 of 474 at count 3: 7,902 of 772 * 46 = 35,512)
     full = sum(len(plan._plan[3]) for plan in catalog._cleared_core()[-1])
     at = poly.AtPlan.at
     terms = []
@@ -606,8 +608,93 @@ def test_appendix_c_leading_specializes_the_cut_terms(monkeypatch):
     out = run_check("appendix-c-leading")
     assert out.passed, out.witness
     samples = len(checks.APPC_DEFAULT_SAMPLES)
-    assert full == 772 and len(terms) == 3 * samples
-    assert sum(terms) <= 0.6 * full * samples
+    assert full == 772 and len(terms) == 3 * 23
+    assert sum(terms) <= 0.25 * full * samples
+
+
+@pytest.fixture
+def built_samples(monkeypatch):
+    """The params of every build_core call appendix-c-leading makes."""
+    build_core = checks.build_core
+    params = []
+
+    def spy(sample, f_order=None):
+        params.append(sample)
+        return build_core(sample, f_order=f_order)
+
+    monkeypatch.setattr(checks, "build_core", spy)
+    return params
+
+
+def test_appendix_c_leading_builds_each_pair_once(built_samples):
+    # the default samples take each (m, r) at both signs of c: the
+    # second takes the first's halves reflected, and builds nothing
+    out = run_check("appendix-c-leading")
+    assert out.passed, out.witness
+    first = {}
+    for mm, rr, cc in checks.APPC_DEFAULT_SAMPLES:
+        first.setdefault((mm, rr), (mm, rr, cc))
+    assert built_samples == list(first.values())
+
+
+def test_appendix_c_leading_one_sign_per_pair_builds_every_sample(
+        built_samples):
+    samples = [(4, 2, 1), (4, 3, -1), (5, 3, 1), (6, 4, -1), (5, 2, 1)] * 8
+    out = check_appendix_c_leading(samples=samples)
+    assert out.passed, out.witness
+    assert built_samples == samples
+
+
+def test_appendix_c_leading_twin_keeps_the_parameter_check():
+    # 1.0 == 1, but only an int c is a specialization: the sample is
+    # built, and rejected, rather than reflected from (4, 2, -1)
+    with pytest.raises(catalog.InvalidParameters):
+        check_appendix_c_leading(samples=[(4, 2, -1), (4, 2, 1.0)] * 20)
+
+
+def test_appendix_c_leading_builds_all_without_the_weight_fact(
+        monkeypatch, fresh_truncated_core, built_samples):
+    # a planted f^5*k^2 in the cleared Hgen: (f, k)-degree 7, so the
+    # generic fact holds, but weight 7, not 9; above every cut, so the
+    # cut halves and every line stay as they were, and no sample takes
+    # a reflected twin
+    want = run_check("appendix-c-leading")
+    hgen, d_h, num, den, d_f, _ = catalog._cleared_core()
+    hgen = hgen + MultiPoly({(5, 2): 1})
+    core = (hgen, d_h, num, den, d_f,
+            tuple(poly.AtPlan(p, ("m", "r", "c")) for p in (hgen, num, den)))
+    monkeypatch.setattr(catalog, "_cleared_core", lambda: core)
+    assert catalog.cleared_gradings()[0] == ({3, 5, 7, 9}, {7, 9})
+    built_samples.clear()
+    out = run_check("appendix-c-leading")
+    assert built_samples == list(checks.APPC_DEFAULT_SAMPLES)
+    assert (out.passed, out.witness, out.detail) == \
+        (want.passed, want.witness, want.detail)
+
+
+def test_appendix_c_leading_twin_of_a_full_build(monkeypatch):
+    # at (6, 4, -1) the cut pair loses its f^1 terms, so that sample
+    # takes the full build; its twin (6, 4, 1) then reflects the full
+    # halves, builds nothing, and every line stays as it was
+    build_core = checks.build_core
+    built = []
+
+    def planted(params, f_order=None):
+        built.append((params, f_order))
+        core = build_core(params, f_order=f_order)
+        if params == (6, 4, -1) and f_order is not None:
+            h = core.H - core.H.truncate("f", 1) + core.H.truncate("f", 0)
+            return SimpleNamespace(new_h=catalog.reduce_to_z(h, 3),
+                                   new_k=core.new_k)
+        return core
+
+    want = run_check("appendix-c-leading")
+    monkeypatch.setattr(checks, "build_core", planted)
+    out = run_check("appendix-c-leading")
+    assert [b for b in built if b[0][:2] == (6, 4)] == \
+        [((6, 4, -1), 2), ((6, 4, -1), None)]
+    assert (out.passed, out.witness, out.detail) == \
+        (want.passed, want.witness, want.detail)
 
 
 def test_appendix_c_leading_takes_one_integer_resultant_per_sample(

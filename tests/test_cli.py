@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -365,6 +366,40 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("PASS: relation1-delta")
+        assert re.match(r"PASS: relation1-delta \(\d+ ms; manifest \d+ ms\)\n",
+                        out)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_check_times_the_manifest_apart(self, monkeypatch, capsys, fmt):
+        # the manifest is parsed under its own timer, before the check
+        # starts its clock
+        from resverify import cli
+        loaded = []
+
+        def spy(name, **kwargs):
+            loaded.append(catalog.manifest.cache_info().currsize)
+            return run_check(name, **kwargs)
+
+        monkeypatch.setattr(cli, "run_check", spy)
+        catalog.manifest.cache_clear()
+        assert main(["check", "biconservative", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert loaded == [1]
+        if fmt == "json":
+            data = json.loads(out)
+            assert data["manifest_ms"] > data["ms"] >= 0
+        else:
+            check_ms, manifest_ms = map(int, re.match(
+                r"PASS: biconservative \((\d+) ms; manifest (\d+) ms\)\n",
+                out).groups())
+            assert manifest_ms >= check_ms
+
+    def test_case_timeout_help_says_cooperative(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "checked only between samples" in text
+        assert "one stuck worker stalls the sweep" in text
 
     @pytest.mark.parametrize("c", ["-1", "0", "1"])
     def test_check_special_case_at_fixed_c(self, capsys, c):

@@ -372,6 +372,16 @@ class TestMonomialReshapes:
                 assert (p * F).halve_exponents("f") is None
         assert (F ** 4 + F).halve_exponents("f") is None
 
+    def test_reflect_matches_substitute(self, rng):
+        for _ in range(100):
+            p = rand_poly(rng, names=("f", "k", "c"), max_deg=4)
+            name = rng.choice(("f", "k", "c"))
+            flipped = p.reflect(name)
+            assert flipped == p.substitute(name, -MultiPoly.var(name))
+            assert flipped.reflect(name) == p
+        assert (F ** 3 - 2 * F ** 2 * Z + Z).reflect("f") == \
+            -F ** 3 - 2 * F ** 2 * Z + Z
+
     def test_substitute_slope_matches_substitute(self, rng):
         for _ in range(100):
             drop = rng.randint(0, 3)
