@@ -64,17 +64,58 @@ class _Run:
                             (time.monotonic() - self.start) * 1000.0)
 
 
+# the point of (m, r, c, f) at which `res-pq` evaluates Res_k(P, Q): the
+# value there is the f^9 coefficient at (m, r) = (4, 2), which is
+# nonzero; at (2, 2) it is 0, and a zero value sends the degree line to
+# the full resultant
+_RES_PQ_POINT = {"m": 4, "r": 2, "c": 0, "f": 1}
+
+
 def check_res_pq() -> CheckOutcome:
     """Generic elimination of k from P and Q: a degree-9 polynomial in f
-    with no f^0..f^2 part and the predicted f^3 coefficient."""
+    with no f^0..f^2 part and the predicted f^3 coefficient.
+
+    The check forms only the terms it reads.  The f^0..f^3 lines read
+    `resultant(P, Q, "k", truncate=("f", 3))`, which equals Res_k(P, Q)
+    mod f^4: the cut is a ring map, so it commutes with the determinant
+    at the formal degrees (`resultant`).  The degree line holds when
+    both of these are true:
+
+    - every term of P and Q has weight 3, with f and k of weight 1 and
+      c of weight 2;
+    - `resultant_at(P, Q, "k", _RES_PQ_POINT)` is nonzero.
+
+    Proof.  With weight 3, P(lambda*f, lambda*k, lambda^2*c) =
+    lambda^3*P, and likewise Q.  Substituting k -> lambda*k multiplies
+    the resultant at the formal degrees (3, 3) by lambda^(3*3), and
+    scaling both inputs by lambda^3 multiplies it by lambda^(3*3 + 3*3).
+    So Res_k(P, Q) at (lambda*f, lambda^2*c) is lambda^9 * Res_k(P, Q):
+    it is isobaric of weight 9, and each of its terms c^s*f^e has
+    e + 2s = 9.  Hence deg_f Res <= 9, and the f^9 coefficient is the
+    c-free part.  Evaluation is a ring map that commutes with the
+    determinant at the formal degrees, also where a leading coefficient
+    vanishes (`resultant_at`), so the value at c = 0, f = 1 and
+    (m, r) = (4, 2) is the f^9 coefficient at (4, 2).  A nonzero value
+    proves that coefficient nonzero, and deg_f Res = 9.
+
+    If either test fails, the line takes the full `resultant(P, Q, "k")`
+    and its witness, as `special-case` falls back from its certificates
+    to the gcd."""
     run = _Run("res-pq")
     man = manifest()
-    res = resultant(man["P"], man["Q"], "k")
-    run.expect("degree in f is 9", res.degree("f") == 9, res)
+    p, q = man["P"], man["Q"]
+    low = resultant(p, q, "k", truncate=("f", 3))
+    weighted = all(i + j + 2 * s == 3 for entry in (p, q)
+                   for (i, j, s), _ in entry.exponents("f", "k", "c"))
+    if weighted and resultant_at(p, q, "k", _RES_PQ_POINT):
+        run.expect("degree in f is 9", True)
+    else:
+        res = resultant(p, q, "k")
+        run.expect("degree in f is 9", res.degree("f") == 9, res)
     for d in range(3):
         run.expect(f"f^{d} coefficient vanishes",
-                   res.coefficient("f", d).is_zero(), res.coefficient("f", d))
-    got = res.coefficient("f", 3)
+                   low.coefficient("f", d).is_zero(), low.coefficient("f", d))
+    got = low.coefficient("f", 3)
     # the published constant 1474560 corresponds to the integer-cleared
     # pair (4P, 4Q); Res(4P, 4Q) = 4^6 * Res(P, Q)
     run.expect("f^3 coefficient matches closed form (cleared inputs)",

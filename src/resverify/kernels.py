@@ -3,9 +3,10 @@
 Multivariate polynomials appear here as raw dicts mapping packed
 exponent keys (int) to rational/integer coefficients; key addition is
 monomial multiplication.  A set guard bit in a key sum means a
-per-variable exponent overflowed its field.  The integer kernels take
-plain lists: `resultant_int` two ascending univariate coefficient lists
-(the samples of `resultant.resultant_interp`, the one value of
+per-variable exponent overflowed its field.  `mul_dicts_truncated`
+keeps only the terms of a product of degree at most n in one field.
+The integer kernels take plain lists: `resultant_int` two ascending
+univariate coefficient lists (the samples of `resultant.resultant_interp`, the one value of
 `resultant.resultant_at`, and the one packed determinant of
 `resultant.resultant_top`), `bareiss_det_int` a
 square matrix.  They run on `int` alone, and every division in them is
@@ -43,6 +44,45 @@ def mul_dicts(a: dict, b: dict, guard: int) -> dict:
                     del out[key]
             else:
                 out[key] = ca * cb
+    return out
+
+
+def mul_dicts_truncated(a: dict, b: dict, guard: int, shift: int,
+                        n: int) -> dict:
+    """The terms of mul_dicts(a, b, guard) whose exponent field at shift
+    is at most n, without forming a pair above n.  The field runs from
+    bit shift up to its guard bit, the lowest set bit of guard at or
+    above shift.  b is bucketed by that field, and each term of a meets
+    only the buckets that keep the sum at most n; overflow and zero
+    handling are those of mul_dicts for every pair formed."""
+    if len(a) > len(b):
+        a, b = b, a
+    high = guard >> shift
+    field = ((high & -high) << 1) - 1
+    buckets: dict = {}
+    for kb, cb in b.items():
+        e = (kb >> shift) & field
+        if e <= n:
+            buckets.setdefault(e, []).append((kb, cb))
+    levels = sorted(buckets.items())
+    out = {}
+    for ka, ca in a.items():
+        room = n - ((ka >> shift) & field)
+        for e, terms in levels:
+            if e > room:
+                break
+            for kb, cb in terms:
+                key = ka + kb
+                if key & guard:
+                    raise ExponentOverflow("monomial exponent exceeds packed bound")
+                if key in out:
+                    cc = out[key] + ca * cb
+                    if cc:
+                        out[key] = cc
+                    else:
+                        del out[key]
+                else:
+                    out[key] = ca * cb
     return out
 
 

@@ -8,12 +8,19 @@ Grammar (whitespace insignificant, '*' always explicit):
     base   := uint | uint '/' uint | varname | defined-name | '(' expr ')'
 
 Division exists only inside rational literals, so every parse result is
-a polynomial.  A manifest is an ordered list of "name := expr" lines;
-later entries may use earlier names, never the reverse.
+a polynomial.  The parser carries each subexpression as an integer
+polynomial over one positive denominator: a sum lifts both sides to the
+lcm of their denominators, a product multiplies both parts and a power
+raises both, a defined name enters by `MultiPoly.cleared`, and the
+result is divided once.  So every product runs on int, and an integral
+coefficient comes back as an int.  A manifest is an ordered list of
+"name := expr" lines; later entries may use earlier names, never the
+reverse.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .poly import VAR_INDEX, VAR_NAMES, ExponentOverflow, MultiPoly
@@ -98,35 +105,44 @@ class _Parser:
         if kind != "op" or value != op:
             raise ExprSyntaxError(f"expected {op!r}", offset)
 
-    def parse_expr(self) -> MultiPoly:
+    # Each parse_* method returns (num, den): the subexpression is
+    # num/den, with num of int coefficients and den a positive int, so
+    # that every product in the parse runs on int.
+
+    def parse_expr(self) -> tuple[MultiPoly, int]:
         kind, value, _ = self.peek()
         negate = kind == "op" and value == "-"
         if negate:
             self.take()
-        result = self.parse_term()
+        num, den = self.parse_term()
         if negate:
-            result = -result
+            num = -num
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                term = self.parse_term()
-                result = result + term if value == "+" else result - term
+                tnum, tden = self.parse_term()
+                common = math.lcm(den, tden)
+                num = _scaled(num, common // den)
+                tnum = _scaled(tnum, common // tden)
+                num = num + tnum if value == "+" else num - tnum
+                den = common
             else:
-                return result
+                return num, den
 
-    def parse_term(self) -> MultiPoly:
-        result = self.parse_factor()
+    def parse_term(self) -> tuple[MultiPoly, int]:
+        num, den = self.parse_factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                result = result * self.parse_factor()
+                fnum, fden = self.parse_factor()
+                num, den = num * fnum, den * fden
             else:
-                return result
+                return num, den
 
-    def parse_factor(self) -> MultiPoly:
-        base = self.parse_base()
+    def parse_factor(self) -> tuple[MultiPoly, int]:
+        num, den = self.parse_base()
         kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.take()
@@ -135,10 +151,11 @@ class _Parser:
                 raise NegativeExponent("negative exponent", offset)
             if kind != "int":
                 raise ExprSyntaxError("expected integer exponent", offset)
-            return base ** int(value)
-        return base
+            e = int(value)
+            return num ** e, den ** e  # an ExponentOverflow comes first
+        return num, den
 
-    def parse_base(self) -> MultiPoly:
+    def parse_base(self) -> tuple[MultiPoly, int]:
         kind, value, offset = self.take()
         if kind == "int":
             nk, nv, _ = self.peek()
@@ -149,13 +166,15 @@ class _Parser:
                     raise ExprSyntaxError("expected integer denominator", doff)
                 if int(dv) == 0:
                     raise ExprSyntaxError("zero denominator", doff)
-                return MultiPoly.const(Rat(int(value), int(dv)))
-            return MultiPoly.const(int(value))
+                q = Rat(int(value), int(dv))
+                return MultiPoly.const(q.numerator), q.denominator
+            return MultiPoly.const(int(value)), 1
         if kind == "name":
             if value in VAR_INDEX:
-                return MultiPoly.var(value)
+                return MultiPoly.var(value), 1
             if value in self.env:
-                return self.env[value]
+                nums, den = self.env[value].cleared()
+                return MultiPoly(nums), den
             raise UnknownName(f"unknown name {value!r}", offset)
         if kind == "op" and value == "(":
             inner = self.parse_expr()
@@ -164,11 +183,16 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {value!r}", offset)
 
     def parse_complete(self) -> MultiPoly:
-        result = self.parse_expr()
+        num, den = self.parse_expr()
         kind, value, offset = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"trailing input {value!r}", offset)
-        return result
+        return num if den == 1 else num.exact_div(MultiPoly.const(den))
+
+
+def _scaled(p: MultiPoly, factor: int) -> MultiPoly:
+    """p times a positive int; p itself for 1, which most sums have."""
+    return p if factor == 1 else p * factor
 
 
 def parse(text: str, env: dict[str, MultiPoly] | None = None) -> MultiPoly:

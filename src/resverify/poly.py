@@ -264,6 +264,13 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def mul_truncated(self, other: "MultiPoly", name: str, n: int) -> "MultiPoly":
+        """(self * other).truncate(name, n), forming no product of two
+        terms whose degrees in name sum above n
+        (`kernels.mul_dicts_truncated`)."""
+        return MultiPoly._raw(kernels.mul_dicts_truncated(
+            self._d, other._d, GUARD_MASK, _SHIFTS[_check_var(name)], n))
+
     def __pow__(self, e: int) -> "MultiPoly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")

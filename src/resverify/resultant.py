@@ -13,7 +13,13 @@ new entry exactly by the previous pivot: 9 against 10 products at
 n = 3, 28 against 28 at n = 4, 75 against 60 at n = 5.  So expansion
 never does more work up to n = 4, and Bareiss takes every larger
 matrix, where expansion grows as 2^n.  `res-pq` (P and Q, cubics in k)
-is n = 3.  The other routes take integer resultants by the
+is n = 3.  `resultant(..., truncate=(name, n))` takes the determinant
+mod name^(n+1): the minors take only truncated products
+(`MultiPoly.mul_truncated`), and Bareiss, which divides, takes the
+determinant of the cut rows and cuts it.  For P and Q mod f^4 that is
+18 full Bezout-row products of 1,524 term pairs and 9 truncated minor
+products of 3,160, against 27 products of 16,448 pairs for the whole
+resultant.  The other routes take integer resultants by the
 subresultant PRS (`kernels.resultant_int`), which computes the
 Sylvester determinant of the formal degrees.  `resultant_at` takes
 one, at an integer point of the other variables; `resultant_interp`
@@ -134,9 +140,11 @@ def sylvester(a: MultiPoly, b: MultiPoly, var: str) -> list[list[MultiPoly]]:
 _MINOR_DET_MAX = 4
 
 
-def _minor_det(rows: list[list[MultiPoly]]) -> MultiPoly:
+def _minor_det(rows: list[list[MultiPoly]],
+               truncate: tuple[str, int] | None = None) -> MultiPoly:
     """Exact determinant of a square MultiPoly matrix by expansion in
-    minors, division-free.
+    minors, division-free; with truncate = (name, n), that determinant
+    mod name^(n+1) (`MultiPoly.truncate`).
 
     The minors of the leading j columns are kept in a dict keyed by
     their row set (a bitmask); the minor on rows S + {i} and columns
@@ -144,13 +152,18 @@ def _minor_det(rows: list[list[MultiPoly]]) -> MultiPoly:
     (-1)^(rows of S below i) * rows[i][j] * minor(S).  Zero entries and
     zero minors are skipped.  Every product is an entry times a minor,
     n*2^(n-1) - n of them for n rows: fewer than Bareiss's up to n = 4
-    and exponentially more above (module docstring)."""
+    and exponentially more above (module docstring).  With truncate, the
+    first column is cut and every product is `MultiPoly.mul_truncated`:
+    the cut is a ring map, so each minor is the cut minor of the full
+    expansion."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
     if n == 0:
-        return MultiPoly.const(1)
-    minors = {1 << i: row[0] for i, row in enumerate(rows) if row[0]}
+        one = MultiPoly.const(1)
+        return one.truncate(*truncate) if truncate else one
+    first = [row[0].truncate(*truncate) if truncate else row[0] for row in rows]
+    minors = {1 << i: entry for i, entry in enumerate(first) if entry}
     for j in range(1, n):
         wider: dict[int, MultiPoly] = {}
         for mask, minor in minors.items():
@@ -159,7 +172,8 @@ def _minor_det(rows: list[list[MultiPoly]]) -> MultiPoly:
                 entry = rows[i][j]
                 if mask & bit or not entry:
                     continue
-                term = entry * minor
+                term = (entry.mul_truncated(minor, *truncate) if truncate
+                        else entry * minor)
                 if (mask >> i).bit_count() % 2:
                     term = -term
                 key = mask | bit
@@ -219,21 +233,38 @@ def _primitive_pair(a: MultiPoly, b: MultiPoly, var: str):
     return da, db, prim_a, prim_b, cont_a ** db * cont_b ** da
 
 
-def resultant(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
+def resultant(a: MultiPoly, b: MultiPoly, var: str,
+              truncate: tuple[str, int] | None = None) -> MultiPoly:
     """Textbook resultant of a and b w.r.t. var: the determinant of the
     Bezout rows of the primitive parts (`_bezout_rows`, the larger formal
     degree first, with the sign (-1)^(da*db) of the swap), by minors up
     to _MINOR_DET_MAX rows and by Bareiss above (module docstring).
     That determinant has integer coefficients; the content factor is
     applied as a product by its numerator and an exact division by its
-    denominator."""
+    denominator.
+
+    truncate = (name, n) returns resultant(a, b, var).truncate(name, n)
+    without forming the terms above name^n.  The cut mod name^(n+1) is a ring map, so it commutes
+    with the determinant at the formal degrees, with the Bezout rows
+    (polynomials in the coefficients) and with the content factor, a
+    constant: the coefficients of the primitive parts are cut, and the
+    minors take only truncated products (`_minor_det`).  Bareiss divides,
+    so above _MINOR_DET_MAX rows it takes the whole determinant of the
+    rows of the cut coefficients and cuts that."""
     da, db, prim_a, prim_b, factor = _primitive_pair(a, b, var)
     f, g = prim_a.coefficients_in(var), prim_b.coefficients_in(var)
+    if truncate is not None:
+        f, g = ([co.truncate(*truncate) for co in cs] for cs in (f, g))
     if da < db:
         f, g = g, f
         factor *= (-1) ** (da * db)
     rows = _bezout_rows(f, g, MultiPoly.zero())
-    det = bareiss_det(rows) if len(rows) > _MINOR_DET_MAX else _minor_det(rows)
+    if len(rows) > _MINOR_DET_MAX:
+        det = bareiss_det(rows)
+        if truncate is not None:
+            det = det.truncate(*truncate)
+    else:
+        det = _minor_det(rows, truncate)
     res = det * factor.numerator
     den = factor.denominator
     return res if den == 1 else res.exact_div(MultiPoly.const(den))

@@ -16,11 +16,11 @@ from conftest import (ref_add, ref_diff, ref_eval, ref_from_multipoly, ref_mul,
 
 import resverify
 from resverify import catalog, kernels
-from resverify.catalog import (DegreeTooLow, InvalidParameters, build_core,
-                               dominant_coef_value, manifest, reduce_to_z,
-                               res_special_value)
+from resverify.catalog import (MANIFEST_TEXT, DegreeTooLow, InvalidParameters,
+                               build_core, dominant_coef_value, manifest,
+                               reduce_to_z, res_special_value)
 from resverify.checks import APPC_DEFAULT_SAMPLES
-from resverify.parser import parse
+from resverify.parser import load_manifest, parse
 from resverify.poly import VAR_INDEX, MultiPoly, variables
 from resverify.ratio import Rat
 from resverify.resultant import resultant_top
@@ -228,6 +228,26 @@ class TestIntegerBuild:
         monkeypatch.setattr(kernels, "mul_dicts", spy)
         build_core((15, 8, 1))
         assert seen and set(seen) == {int}
+
+    def test_manifest_products_run_on_int(self, monkeypatch):
+        seen = []
+        real = kernels.mul_dicts
+
+        def spy(a, b, guard):
+            seen.extend(type(co) for co in a.values())
+            seen.extend(type(co) for co in b.values())
+            return real(a, b, guard)
+
+        monkeypatch.setattr(kernels, "mul_dicts", spy)
+        load_manifest(MANIFEST_TEXT)
+        assert seen and set(seen) == {int}
+
+    def test_manifest_coefficients_are_int_or_non_integral(self):
+        man = manifest()
+        for name in man.names:
+            for _, co in man[name].terms():
+                assert type(co) is int or (type(co) is Fraction
+                                           and co.denominator != 1), name
 
     def test_manifest_leaves_cleared_cache_empty(self):
         # the integer entries are cleared on the first build_core, and the

@@ -16,9 +16,10 @@ from resverify.catalog import closed_form_tables, manifest
 from resverify.checks import (CHECK_NAMES, UnknownCheck,
                               check_appendix_c_leading, integer_roots,
                               run_check)
+from resverify.parser import format_poly, parse
 from resverify.poly import MultiPoly, horner
 from resverify.ratio import Rat, quotient
-from resverify.resultant import gcd_subresultant
+from resverify.resultant import gcd_subresultant, resultant, resultant_at
 
 
 def test_unknown_check():
@@ -36,6 +37,99 @@ def test_res_pq():
     out = run_check("res-pq")
     assert out.passed, out.witness
     assert out.detail["content clearing factor"] == "4^6 = 4096"
+
+
+def _full_res_pq():
+    """(passed, witness, detail) of res-pq with every line read off the
+    full resultant of the manifest's P and Q, as the check read them
+    before it cut the determinant: the reference outcome."""
+    man = manifest()
+    res = resultant(man["P"], man["Q"], "k")
+    got = res.coefficient("f", 3)
+    lines = [("degree in f is 9", res.degree("f") == 9, res)]
+    lines += [(f"f^{d} coefficient vanishes", res.coefficient("f", d).is_zero(),
+               res.coefficient("f", d)) for d in range(3)]
+    lines.append(("f^3 coefficient matches closed form (cleared inputs)",
+                  got * 4096 == man["coefF3"], got))
+    failed = [witness for _, ok, witness in lines if not ok]
+    detail = {label: "ok" if ok else "FAIL" for label, ok, _ in lines}
+    detail["content clearing factor"] = "4^6 = 4096"
+    return (not failed, format_poly(failed[0]) if failed else None, detail)
+
+
+@pytest.fixture
+def res_pq_routes(monkeypatch):
+    """The truncate argument of every `resultant` call that res-pq makes."""
+    seen = []
+
+    def spy(a, b, var, truncate=None):
+        seen.append(truncate)
+        return resultant(a, b, var, truncate=truncate)
+
+    monkeypatch.setattr(checks, "resultant", spy)
+    return seen
+
+
+def test_res_pq_certificate_route(res_pq_routes):
+    # weight 3 and a nonzero value at _RES_PQ_POINT: only the cut
+    # resultant is formed
+    out = run_check("res-pq")
+    assert (out.passed, out.witness, out.detail) == _full_res_pq()
+    assert res_pq_routes == [("f", 3)]
+
+
+def test_res_pq_certificate_value_is_the_f9_coefficient():
+    man = manifest()
+    lead = resultant(man["P"], man["Q"], "k").coefficient("f", 9)
+    point = checks._RES_PQ_POINT
+    value = resultant_at(man["P"], man["Q"], "k", point)
+    assert value == lead.evaluate({"m": point["m"], "r": point["r"]}) != 0
+    assert resultant_at(man["P"], man["Q"], "k",
+                        dict(point, m=2, r=2)) == 0
+
+
+def test_res_pq_zero_certificate_takes_the_full_route(monkeypatch, res_pq_routes):
+    monkeypatch.setattr(checks, "_RES_PQ_POINT", {"m": 2, "r": 2, "c": 0, "f": 1})
+    out = run_check("res-pq")
+    assert out.passed
+    assert (out.passed, out.witness, out.detail) == _full_res_pq()
+    assert res_pq_routes == [("f", 3), None]
+
+
+# the first keeps every line, the second raises the degree, the third
+# changes the f^3 coefficient
+@pytest.mark.parametrize("planted", ["f^2", "f^4", "c^2*f*k"])
+def test_res_pq_weight_breaking_term_takes_the_full_route(monkeypatch,
+                                                          res_pq_routes, planted):
+    man = manifest()
+    monkeypatch.setitem(man.values, "P", man["P"] + parse(planted))
+    out = run_check("res-pq")
+    assert (out.passed, out.witness, out.detail) == _full_res_pq()
+    assert res_pq_routes == [("f", 3), None]
+
+
+def test_res_pq_perturbed_closed_form_keeps_the_witness(monkeypatch):
+    man = manifest()
+    monkeypatch.setitem(man.values, "coefF3", man["coefF3"] + MultiPoly.var("m"))
+    out = run_check("res-pq")
+    assert out.detail["f^3 coefficient matches closed form (cleared inputs)"] == "FAIL"
+    assert (out.passed, out.witness, out.detail) == _full_res_pq()
+
+
+def test_res_pq_full_products_are_the_bezout_rows(monkeypatch):
+    # the default route multiplies in full only the 18 products of the
+    # Bezout rows; the minors take truncated products
+    manifest()
+    calls = []
+    real = kernels.mul_dicts
+
+    def spy(a, b, guard):
+        calls.append(len(a) * len(b))
+        return real(a, b, guard)
+
+    monkeypatch.setattr(kernels, "mul_dicts", spy)
+    assert run_check("res-pq").passed
+    assert len(calls) == 18
 
 
 def test_special_case_symbolic():

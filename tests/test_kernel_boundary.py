@@ -12,8 +12,9 @@ import ast
 from test_unused_helpers import PACKAGE, _references
 
 RAW_NAMES = {"_d", "_raw", "GUARD_MASK", "add_dicts", "diff_dict",
-             "subst_dict", "mul_dicts", "addmul_term", "decode_key",
-             "encode_exponents", "_SHIFTS", "_DEG_SHIFT", "_FIELD_MASK"}
+             "subst_dict", "mul_dicts", "mul_dicts_truncated", "addmul_term",
+             "decode_key", "encode_exponents", "_SHIFTS", "_DEG_SHIFT",
+             "_FIELD_MASK"}
 OWNERS = {"poly.py", "kernels.py"}
 
 

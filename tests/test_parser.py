@@ -42,6 +42,27 @@ class TestParse:
         env = {"a": F + K}
         assert parse("a*a", env) == (F + K) ** 2
 
+    @pytest.mark.parametrize("text, want", [
+        ("1/2 + 1/3", MultiPoly.const(Rat(5, 6))),
+        ("2/3*3/2", MultiPoly.const(1)),
+        ("(1/2*f)^3", MultiPoly.const(Rat(1, 8)) * F ** 3),
+        ("1/2*f - 1/2*f", MultiPoly.zero()),
+        ("3/4*f + 1/4*f", F),
+        ("-1/6*k + 1/4*k^2", K * Rat(-1, 6) + K ** 2 * Rat(1, 4)),
+    ])
+    def test_rational_arithmetic(self, text, want):
+        got = parse(text)
+        assert got == want
+        assert all(type(co) is int or co.denominator != 1
+                   for _, co in got.terms())
+
+    def test_rational_times_a_rational_entry(self):
+        env = load_manifest("h := 2/3*f + 1/6*k\nw := 3/4").values
+        assert parse("9/2*h", env) == 3 * F + Rat(3, 4) * K
+        assert parse("4/3*w", env) == MultiPoly.const(1)
+        assert type(parse("4/3*w", env).constant_value()) is int
+        assert parse("w*h - 1/2*f", env) == Rat(1, 8) * K
+
 
 class TestParseErrors:
     def test_implicit_multiplication(self):

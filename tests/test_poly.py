@@ -9,8 +9,8 @@ from conftest import (rand_nonzero, rand_poly, ref_eval, ref_from_multipoly,
                       ref_mul, ref_subst, ref_to_multipoly)
 
 from resverify.parser import parse
-from resverify.poly import (MAX_EXPONENT, VAR_INDEX, AtPlan, DegreeTooLow,
-                            ExponentOverflow, InexactDivision,
+from resverify.poly import (MAX_EXPONENT, VAR_INDEX, VAR_NAMES, AtPlan,
+                            DegreeTooLow, ExponentOverflow, InexactDivision,
                             MissingAssignment, MultiPoly, ZeroDivisor,
                             encode_exponents, gcd, horner, int_coeffs,
                             pseudo_division,
@@ -70,6 +70,60 @@ class TestArith:
         big = F ** MAX_EXPONENT
         with pytest.raises(ExponentOverflow):
             big * F
+
+
+class TestMulTruncated:
+    """mul_truncated(other, name, n) is (self * other).truncate(name, n),
+    also against the tuple-keyed reference product."""
+
+    def _want(self, a, b, name, n):
+        keep = VAR_NAMES.index(name)
+        return {exps: co for exps, co in ref_mul(ref_from_multipoly(a),
+                                                 ref_from_multipoly(b)).items()
+                if exps[keep] <= n}
+
+    @pytest.mark.parametrize("name", ["f", "k", "c"])
+    def test_matches_the_cut_product(self, rng, name):
+        for _ in range(100):
+            a = rand_poly(rng, names=("f", "k", "c"), max_terms=6, max_deg=4)
+            b = rand_poly(rng, names=("f", "k", "c"), max_terms=6, max_deg=4)
+            if rng.random() < 0.3:
+                a = a * Rat(rng.randint(-5, 5), rng.randint(1, 4))
+            n = rng.randint(-1, 8)
+            got = a.mul_truncated(b, name, n)
+            assert got == (a * b).truncate(name, n)
+            assert ref_from_multipoly(got) == self._want(a, b, name, n)
+            assert not any(co == 0 for _, co in got.terms())
+
+    def test_degree_zero_keeps_the_name_free_part(self):
+        a, b = F + K + 2, F ** 2 - 3 * K + 1
+        assert a.mul_truncated(b, "f", 0) == (K + 2) * (1 - 3 * K)
+        assert a.mul_truncated(b, "f", -1) == MultiPoly.zero()
+
+    def test_cancelled_terms_and_an_empty_cut(self):
+        # f*k - k*f cancels among the pairs formed, and its key is dropped
+        got = (F + K).mul_truncated(F - K, "f", 1)
+        assert got == -K ** 2 and len(got) == 1
+        # every pair lies above the cut: the zero polynomial
+        assert (F + F * K).mul_truncated(F - K * F, "f", 1).is_zero()
+        assert (K + 1).mul_truncated(K - 1, "k", 0) == MultiPoly.const(-1)
+
+    def test_neighbouring_fields_do_not_leak(self):
+        # large exponents just above and below the cut field
+        al = MultiPoly.var("alpha")
+        a, b = C * al ** 300 * K ** 500, C * al ** 2 * M ** 700
+        assert a.mul_truncated(b, "c", 2) == a * b
+        assert a.mul_truncated(b, "c", 1).is_zero()
+        assert a.mul_truncated(b, "alpha", 302) == a * b
+        assert a.mul_truncated(b, "alpha", 301).is_zero()
+
+    def test_exponent_overflow(self):
+        big = F ** MAX_EXPONENT
+        # a pair at or below the cut in k overflows in f: a hard error
+        with pytest.raises(ExponentOverflow):
+            big.mul_truncated(big, "k", 2)
+        # a pair above the cut is never formed
+        assert big.mul_truncated(big, "f", 10).is_zero()
 
 
 class TestFloatsRefused:

@@ -263,6 +263,54 @@ class TestResultant:
         assert res.coefficient("f", 3) * 4096 == man["coefF3"]
 
 
+def _in_k(rng, degree):
+    """A polynomial of k-degree exactly degree whose k-coefficients are
+    sparse polynomials in (f, m), with a random rational content."""
+    acc = MultiPoly.zero()
+    for i in range(degree, -1, -1):
+        draw = rand_nonzero if i == degree else rand_poly
+        acc = acc * K + draw(rng, names=("f", "m"), max_terms=2, max_deg=2)
+    return acc * Rat(rng.choice((1, -2, 3)), rng.choice((1, 4)))
+
+
+class TestTruncatedResultant:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    def test_equals_the_cut_resultant(self, rng, det_routes, rows):
+        # 5 Bezout rows take Bareiss, 1 to 4 the truncated minors
+        for trial in range(6):
+            other = rng.randint(0, rows)
+            da, db = (rows, other) if trial % 2 else (other, rows)
+            a, b = _in_k(rng, da), _in_k(rng, db)
+            full = resultant(a, b, "k")
+            for name in ("f", "m"):
+                for n in (-1, 0, 1, 2, 4):
+                    got = resultant(a, b, "k", truncate=(name, n))
+                    assert got == full.truncate(name, n), (a, b, name, n)
+        assert set(det_routes["bareiss"]) == ({5} if rows == 5 else set())
+
+    def test_minor_det_cut(self, rng):
+        for n in range(5):
+            for _ in range(8):
+                rows = [[rand_poly(rng, names=("f", "k", "m"), max_terms=3,
+                                   max_deg=3) for _ in range(n)]
+                        for _ in range(n)]
+                for cut in (-1, 0, 2, 5):
+                    assert (_minor_det(rows, ("f", cut))
+                            == _minor_det(rows).truncate("f", cut)), rows
+
+    def test_formal_degree_zero(self):
+        assert resultant(F + 3, F * K + 2, "k", truncate=("f", 0)) == 3
+        assert resultant(F + 3, F * K + 2, "k", truncate=("f", -1)).is_zero()
+        assert resultant(F + 3, F + 1, "k", truncate=("f", 0)) == 1
+
+    def test_pq_low_coefficients(self):
+        man = manifest()
+        full = resultant(man["P"], man["Q"], "k")
+        for n in (3, 9):
+            assert (resultant(man["P"], man["Q"], "k", truncate=("f", n))
+                    == full.truncate("f", n))
+
+
 @pytest.fixture
 def det_routes(monkeypatch):
     """Spy on the two symbolic determinant routes: the size of every
