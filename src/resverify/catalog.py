@@ -220,12 +220,12 @@ def _pq_plans() -> tuple[AtPlan, AtPlan]:
 def cleared_gradings() -> tuple[tuple[set[int], set[int]], ...]:
     """For the cleared Hgen, NumDerF and DenDerF of `_cleared_core`, in
     that order: the (f, k)-degrees of their terms and their weights,
-    with f and k of weight 1 and c of weight 2, in one pass over the
-    terms.  Not cached, so a planted cleared core is read as it is."""
+    with f and k of weight 1 and c of weight 2, from `MultiPoly.support`.
+    Not cached, so a planted cleared core is read as it is."""
     hgen, _, num, den, _, _ = _cleared_core()
     out = []
     for p in (hgen, num, den):
-        exps = {e for e, _ in p.exponents("f", "k", "c")}
+        exps = p.support("f", "k", "c")
         out.append(({i + j for i, j, _ in exps},
                     {i + j + 2 * s for i, j, s in exps}))
     return tuple(out)

@@ -568,15 +568,16 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     send k^q f^p to u^e z^q with e = 3 - s in new_h and e = 4 - s in
     new_k, so the sign is (-1)^(3-e) = -(-1)^e resp. (-1)^e.  The
     halves (A, B) at (m, r, c0) thus give those at (m, r, -c0) as
-    -A(-u) and B(-u) (`MultiPoly.reflect`).  The cut mod f^(count+1)
-    acts term by term, so the rule holds for cut pairs too, and the
-    supports are unchanged: the evenness, the u-degrees and the alphas
-    carry over, and a twin skips the structural test.  So a sample
-    whose twin (m, r, -c0) built its even halves earlier in the run,
-    cut or full, takes them reflected.  Reflected halves are not
-    reflected again, a sample never takes the halves of an equal one,
-    and when the weight fact fails every sample builds.  Each sample
-    still takes its own `resultant_top` and its own lines.
+    (-A(-u), B(-u)), cut or full (the cut acts term by term), with the
+    same supports: u-degrees da, db, evenness, alphas and top.  As
+    Res_u(lambda*A, B) = lambda^db * Res_u(A, B) (Cofactor) and u -> -u
+    multiplies it by (-1)^(da*db) (`resultant_top`), the twin's Res_u is
+    (-1)^(db*(da+1)) times the sample's: at (3, 4) the same, and so are
+    the top and coefficients read.  Only there does a sample whose twin
+    (m, r, -c0) read them earlier take them, with no build and no
+    determinant; it still meets its own closed form in its own lines.
+    Shared values are not shared again, nor taken by an equal sample,
+    and without the weight fact every sample builds.
 
     Cofactor.  Res_u(A, B) is the Sylvester determinant of the u-degrees
     da = 3 (H) and db = 4 (K): db rows of coefficients of A and da rows
@@ -607,7 +608,7 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
     generic = (h_degrees <= {3, 5, 7, 9}
                and all(degrees <= {2, 4} for degrees, _ in derf))
     weighted = h_weights <= {9} and all(w <= {4} for _, w in derf)
-    built = {}  # (m, r, c) -> the even halves that sample built
+    shared = {}  # (m, r, -c) -> (top, coeffs) read at a built (m, r, c)
     for mm, rr, cc in samples:
         tag = f"({mm},{rr},{cc})"
         special = mm == 2 * rr - 1
@@ -615,20 +616,20 @@ def check_appendix_c_leading(samples=APPC_DEFAULT_SAMPLES) -> CheckOutcome:
         low = want_deg // 2
         count = 41 - low + 1  # coefficients read at top = 41
         params = (mm, rr, cc)
-        twin = (built.get((mm, rr, -cc)) if weighted and cc
+        read = (shared.get(params) if weighted and cc
                 and all(type(v) is int for v in params) else None)
-        if twin is not None:
-            halves = [-twin[0].reflect("f"), twin[1].reflect("f")]
-        else:
+        if read is None:
             halves = (_halves(build_core(params, f_order=count)) if generic
                       else [])
             if not _structural(halves):
                 halves = _halves(build_core(params))
             if None not in halves:
-                built[params] = halves
-        even = None not in halves
+                read = resultant_top(*halves, "f", "z", 2, low)
+                if [p.degree("f") for p in halves] == [3, 4]:
+                    shared[(mm, rr, -cc)] = read
+        even = read is not None
         if even:
-            top, coeffs = resultant_top(*halves, "f", "z", 2, low)
+            top, coeffs = read
             ok = any(coeffs[-1:]) and not any(coeffs[:-1])
             nonzero = [top - e for e, co in enumerate(coeffs) if co]
             if not run.expect(f"{tag} raw degree {want_deg}", ok, f"top={top}, "
@@ -651,8 +652,7 @@ def _halves(core) -> list:
 
 
 def _structural(halves: list) -> bool:
-    """The halves are even, of u-degrees 3 and 4, and of alpha 2 and 3
-    at weight 2 (`check_appendix_c_leading`)."""
+    """Even halves of u-degrees 3 and 4 and alphas 2 and 3 at weight 2."""
     return (None not in halves
             and [p.degree("f") for p in halves] == [3, 4]
             and [max(q - 2 * i for (i, q), _ in p.exponents("f", "z"))

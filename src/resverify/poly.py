@@ -179,6 +179,13 @@ class MultiPoly:
         for key, coeff in self._d.items():
             yield tuple((key >> sh) & _FIELD_MASK for sh in shifts), coeff
 
+    def support(self, *names: str) -> set[tuple[int, ...]]:
+        """The distinct exponent tuples of names, each decoded once."""
+        shifts = [_SHIFTS[_check_var(name)] for name in names]
+        mask = sum(_FIELD_MASK << sh for sh in set(shifts))
+        return {tuple((key >> sh) & _FIELD_MASK for sh in shifts)
+                for key in {key & mask for key in self._d}}
+
     def vars_used(self) -> set[str]:
         used = 0
         for key in self._d:
@@ -359,13 +366,6 @@ class MultiPoly:
                 return None
             out[key - (e >> 1) * unit] = coeff
         return MultiPoly._raw(out)
-
-    def reflect(self, name: str) -> "MultiPoly":
-        """self.substitute(name, -name): the terms of odd degree in the
-        variable change sign, read off the low bit of its key field."""
-        odd = 1 << _SHIFTS[_check_var(name)]
-        return MultiPoly._raw({key: -coeff if key & odd else coeff
-                               for key, coeff in self._d.items()})
 
     def substitute_slope(self, var: str, new: str, base: str,
                          drop: int) -> "MultiPoly":

@@ -19,11 +19,11 @@ from resverify import catalog, kernels
 from resverify.catalog import (MANIFEST_TEXT, DegreeTooLow, InvalidParameters,
                                build_core, dominant_coef_value, manifest,
                                reduce_to_z, res_special_value)
-from resverify.checks import APPC_DEFAULT_SAMPLES
+from resverify.checks import APPC_DEFAULT_SAMPLES, _halves
 from resverify.parser import load_manifest, parse
 from resverify.poly import VAR_INDEX, MultiPoly, variables
 from resverify.ratio import Rat
-from resverify.resultant import resultant_top
+from resverify.resultant import resultant, resultant_top
 
 V = variables()
 F, K, Z, M, R, C = V["f"], V["k"], V["z"], V["m"], V["r"], V["c"]
@@ -304,19 +304,25 @@ class TestTruncatedBuild:
         plans = catalog._truncated_core(2)
         assert [len(plan._plan[3]) for plan in plans] == [260, 35, 29]
 
-    @pytest.mark.parametrize("n", [2, 3, None])
-    def test_reflected_halves_are_the_twin_build(self, n):
-        # the twin rule of appendix-c-leading: the halves (A, B) at
-        # (m, r, c) give those at (m, r, -c) as -A(-u) and B(-u), cut
-        # or full
+    def test_twins_have_one_res_u(self):
+        # the twin lemma of appendix-c-leading, by a second route: no
+        # sample takes its twin's values here, each builds its own
+        # halves.  At (m, r, 1) and (m, r, -1) resultant_top reads the
+        # same coefficients from the cut halves of every default (m, r),
+        # and the full halves of three have the same whole Res_u
         pairs = sorted({(mm, rr) for mm, rr, _ in APPC_DEFAULT_SAMPLES})
         assert len(pairs) == 23
         for mm, rr in pairs:
-            core, twin = (build_core((mm, rr, cc), f_order=n)
-                          for cc in (1, -1))
-            a, b = (p.halve_exponents("f") for p in (core.new_h, core.new_k))
-            assert -a.reflect("f") == twin.new_h.halve_exponents("f")
-            assert b.reflect("f") == twin.new_k.halve_exponents("f")
+            n = 3 if mm == 2 * rr - 1 else 2
+            tops = [resultant_top(*_halves(build_core((mm, rr, cc),
+                                                      f_order=n)),
+                                  "f", "z", 2, 42 - n)
+                    for cc in (1, -1)]
+            assert tops[0] == tops[1], (mm, rr)
+        for mm, rr in [(4, 2), (5, 3), (9, 6)]:
+            full = [resultant(*_halves(build_core((mm, rr, cc))), "f")
+                    for cc in (1, -1)]
+            assert full[0] == full[1] and not full[0].is_zero(), (mm, rr)
 
     def test_default_samples_come_in_twins(self):
         # the traffic the twin rule saves on: every (m, r) once at each

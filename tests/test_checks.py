@@ -19,7 +19,8 @@ from resverify.checks import (CHECK_NAMES, UnknownCheck,
 from resverify.parser import format_poly, parse
 from resverify.poly import MultiPoly, horner
 from resverify.ratio import Rat, quotient
-from resverify.resultant import gcd_subresultant, resultant, resultant_at
+from resverify.resultant import (gcd_subresultant, resultant, resultant_at,
+                                 resultant_top)
 
 
 def test_unknown_check():
@@ -686,7 +687,7 @@ def test_appendix_c_leading_fails_on_even_generic_degree(monkeypatch,
 
 def test_appendix_c_leading_specializes_the_cut_terms(monkeypatch):
     # work guard, no timer: a default run builds each (m, r) once, at
-    # c = -1, and reflects the halves for c = 1; the generic terms
+    # c = -1, and c = 1 takes its top and coefficients; the generic terms
     # AtPlan.at specializes are at most 25% of what a full build per
     # sample would take (20 builds of 260 + 35 + 29 terms at count 2,
     # 3 of 474 at count 3: 7,902 of 772 * 46 = 35,512)
@@ -722,7 +723,7 @@ def built_samples(monkeypatch):
 
 def test_appendix_c_leading_builds_each_pair_once(built_samples):
     # the default samples take each (m, r) at both signs of c: the
-    # second takes the first's halves reflected, and builds nothing
+    # second takes the first's top and coefficients, and builds nothing
     out = run_check("appendix-c-leading")
     assert out.passed, out.witness
     first = {}
@@ -741,7 +742,7 @@ def test_appendix_c_leading_one_sign_per_pair_builds_every_sample(
 
 def test_appendix_c_leading_twin_keeps_the_parameter_check():
     # 1.0 == 1, but only an int c is a specialization: the sample is
-    # built, and rejected, rather than reflected from (4, 2, -1)
+    # built, and rejected, rather than read from its twin (4, 2, -1)
     with pytest.raises(catalog.InvalidParameters):
         check_appendix_c_leading(samples=[(4, 2, -1), (4, 2, 1.0)] * 20)
 
@@ -751,7 +752,7 @@ def test_appendix_c_leading_builds_all_without_the_weight_fact(
     # a planted f^5*k^2 in the cleared Hgen: (f, k)-degree 7, so the
     # generic fact holds, but weight 7, not 9; above every cut, so the
     # cut halves and every line stay as they were, and no sample takes
-    # a reflected twin
+    # its twin's values
     want = run_check("appendix-c-leading")
     hgen, d_h, num, den, d_f, _ = catalog._cleared_core()
     hgen = hgen + MultiPoly({(5, 2): 1})
@@ -768,8 +769,9 @@ def test_appendix_c_leading_builds_all_without_the_weight_fact(
 
 def test_appendix_c_leading_twin_of_a_full_build(monkeypatch):
     # at (6, 4, -1) the cut pair loses its f^1 terms, so that sample
-    # takes the full build; its twin (6, 4, 1) then reflects the full
-    # halves, builds nothing, and every line stays as it was
+    # takes the full build; its twin (6, 4, 1) then takes what
+    # resultant_top read from the full halves, builds nothing, and every
+    # line stays as it was
     build_core = checks.build_core
     built = []
 
@@ -791,10 +793,81 @@ def test_appendix_c_leading_twin_of_a_full_build(monkeypatch):
         (want.passed, want.witness, want.detail)
 
 
+def test_appendix_c_leading_twin_meets_its_own_closed_form(monkeypatch,
+                                                          built_samples):
+    # both closed forms doubled at c = 1 only: every c = 1 sample but
+    # (11, 6, 1), which comes before its twin, takes its twin's top and
+    # coefficients and builds nothing, yet exactly the c = 1
+    # cleared-equality lines fail, every other line stays ok, the twin
+    # (11, 6, -1) included, and the witness is that of the first failing
+    # line, (4, 2, 1)
+    dominant = checks.dominant_coef_value
+    for name in ("dominant_coef_value", "res_special_value"):
+        closed_form = getattr(checks, name)
+        monkeypatch.setattr(checks, name, lambda *params, f=closed_form:
+                            (2 if params[-1] == 1 else 1) * f(*params))
+    out = run_check("appendix-c-leading")
+    assert not out.passed
+    assert [s for s in built_samples if s[2] == 1] == [(11, 6, 1)]
+    label = "({},{},{}) 3^10*m^3*closed == -2^38*(m-r)^7*lc_z Res_u"
+    samples = checks.APPC_DEFAULT_SAMPLES
+    failed = {line for line, verdict in out.detail.items()
+              if verdict == "FAIL"}
+    assert failed == {label.format(*s) for s in samples if s[2] == 1}
+    assert set(out.detail.values()) == {"ok", "FAIL", str(len(samples))}
+    lead = quotient(-3 ** 10 * 4 ** 3 * dominant(4, 2, 1), 2 ** 38 * 2 ** 7)
+    assert out.witness == f"lead={lead} closed={2 * dominant(4, 2, 1)}"
+
+
+def test_appendix_c_leading_shares_only_at_the_structural_degrees(
+        monkeypatch):
+    # values are shared only where the twin sign (-1)^(db*(da+1)) is
+    # proved +1, at the u-degrees (3, 4): planted even halves of
+    # u-degrees (2, 3), whose sign would be -1, take the full build at
+    # either sign of c, and the twin (6, 4, 1) builds too
+    built = []
+
+    def planted(params, f_order=None):
+        built.append((params, f_order))
+        return SimpleNamespace(new_h=MultiPoly({(4, 0, 1): 1}) + 1,
+                               new_k=MultiPoly({(6,): 1, (0, 0, 1): 1}))
+
+    monkeypatch.setattr(checks, "build_core", planted)
+    out = check_appendix_c_leading(samples=[(6, 4, -1), (6, 4, 1)] * 20)
+    assert not out.passed
+    assert built == [((6, 4, -1), 2), ((6, 4, -1), None),
+                     ((6, 4, 1), 2), ((6, 4, 1), None)] * 20
+
+
+def test_appendix_c_twin_sign_at_any_u_degrees(rng):
+    # the lemma behind the twin rule: Res_u(-A(-u), B(-u)) =
+    # (-1)^(db*(da+1)) * Res_u(A, B) at the u-degrees da, db of A and B,
+    # and resultant_top reads the same top and those coefficients times
+    # the sign, which is +1 at (3, 4)
+    def of_degree(deg):
+        while True:
+            lead = MultiPoly({(deg, 0, rng.randint(0, 2)): rng.randint(1, 9)})
+            p = rand_poly(rng, names=("f", "z"), max_deg=deg) + lead
+            if p.degree("f") == deg:
+                return p
+
+    minus_u = -MultiPoly.var("f")
+    for da in range(1, 5):
+        for db in range(1, 5):
+            a, b = of_degree(da), of_degree(db)
+            twin = [-a.substitute("f", minus_u), b.substitute("f", minus_u)]
+            sign = (-1) ** (db * (da + 1))
+            assert resultant(*twin, "f") == sign * resultant(a, b, "f")
+            top, coeffs = resultant_top(a, b, "f", "z", 2, 0)
+            assert resultant_top(*twin, "f", "z", 2, 0) == \
+                (top, [sign * co for co in coeffs])
+
+
 def test_appendix_c_leading_takes_one_integer_resultant_per_sample(
         monkeypatch):
     # resultant_top looks kernels.resultant_int up as a module attribute,
-    # so a wrapper set there counts every sample's one packed resultant
+    # so a wrapper set there counts the packed resultants: one per
+    # (m, r), at the sign of c that comes first, and none for its twin
     calls = []
     inner = kernels.resultant_int
 
@@ -805,8 +878,9 @@ def test_appendix_c_leading_takes_one_integer_resultant_per_sample(
     monkeypatch.setattr(kernels, "resultant_int", counting)
     out = run_check("appendix-c-leading")
     assert out.passed, out.witness
-    assert calls == [(4, 5)] * len(checks.APPC_DEFAULT_SAMPLES)
-    assert len(calls) == 46
+    pairs = {(mm, rr) for mm, rr, _ in checks.APPC_DEFAULT_SAMPLES}
+    assert calls == [(4, 5)] * len(pairs)
+    assert len(calls) == 23
 
 
 def test_appendix_c_cofactor_contents():

@@ -426,15 +426,13 @@ class TestMonomialReshapes:
                 assert (p * F).halve_exponents("f") is None
         assert (F ** 4 + F).halve_exponents("f") is None
 
-    def test_reflect_matches_substitute(self, rng):
+    def test_support_is_the_set_of_exponents(self, rng):
         for _ in range(100):
             p = rand_poly(rng, names=("f", "k", "c"), max_deg=4)
-            name = rng.choice(("f", "k", "c"))
-            flipped = p.reflect(name)
-            assert flipped == p.substitute(name, -MultiPoly.var(name))
-            assert flipped.reflect(name) == p
-        assert (F ** 3 - 2 * F ** 2 * Z + Z).reflect("f") == \
-            -F ** 3 - 2 * F ** 2 * Z + Z
+            names = rng.sample(("f", "k", "z", "c"), rng.randint(1, 3))
+            assert p.support(*names) == {e for e, _ in p.exponents(*names)}
+        assert (F ** 2 * K + 3 * F ** 2 * K * C + F).support("f", "k", "f") \
+            == {(2, 1, 2), (1, 0, 1)}
 
     def test_substitute_slope_matches_substitute(self, rng):
         for _ in range(100):
