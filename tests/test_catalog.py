@@ -304,6 +304,23 @@ class TestTruncatedBuild:
         plans = catalog._truncated_core(2)
         assert [len(plan._plan[3]) for plan in plans] == [260, 35, 29]
 
+    @pytest.mark.parametrize("n", [2, 3, None])
+    def test_reflected_halves_are_the_twin_build(self, n):
+        # the halves (A, B) at (m, r, c) give those at (m, r, -c) as
+        # -A(-u) and B(-u), cut or full: the relation the twin rule of
+        # appendix-c-leading rests on
+        minus_u = -MultiPoly.var("f")
+        pairs = sorted({(mm, rr) for mm, rr, _ in APPC_DEFAULT_SAMPLES})
+        assert len(pairs) == 23
+        for mm, rr in pairs:
+            core, twin = (build_core((mm, rr, cc), f_order=n)
+                          for cc in (1, -1))
+            a, b = (p.halve_exponents("f") for p in (core.new_h, core.new_k))
+            assert -a.substitute("f", minus_u) == \
+                twin.new_h.halve_exponents("f")
+            assert b.substitute("f", minus_u) == \
+                twin.new_k.halve_exponents("f")
+
     def test_twins_have_one_res_u(self):
         # the twin lemma of appendix-c-leading, by a second route: no
         # sample takes its twin's values here, each builds its own
